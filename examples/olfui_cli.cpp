@@ -22,11 +22,13 @@
 //       --limit N            grade only the first N eligible faults per
 //                            test (the CI smoke slice; 0 = all)
 //       --threads N          in-process worker threads (0 = all cores)
-//       --lanes W            packed kernel width: 64 (default), 128, or
-//                            256 — builds without vector-extension
-//                            support fall back to 64. Pure throughput
-//                            knob: the graded JSON is identical at every
-//                            width
+//       --lanes W            packed kernel width: 64, 128, or 256
+//                            (default: the widest this build has — 256
+//                            with GCC/Clang vector extensions, else 64);
+//                            builds without vector-extension support
+//                            fall back to 64. Pure throughput knob: the
+//                            graded JSON is identical at every width
+//                            apart from the per-test "batches" counts
 //       --clocking M         full | incremental (default incremental) —
 //                            the packed kernel's clock() path; full is the
 //                            every-flop two-pass latch oracle. Pure
@@ -325,7 +327,7 @@ CampaignProgress make_progress_heartbeat(int lanes) {
 
 int run_sbst_mode(int argc, char** argv) {
   std::size_t programs = 0, limit = 0;
-  int threads = 0, workers = 2, lanes = 64;
+  int threads = 0, workers = 2, lanes = kMaxLaneWidth;
   FleetOptions fleet;
   double shard_timeout = 0;
   bool subprocess = false, transition = false, progress = false;

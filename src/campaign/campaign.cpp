@@ -117,11 +117,14 @@ BitVec CampaignEngine::grade(std::span<const FaultId> targets,
   auto plan_span = obs::tracer().span("plan", "campaign");
   plan_span.arg("test", Json(test.name));
   plan_span.arg("targets", Json(targets.size()));
-  const ScheduleContext ctx{static_cast<std::size_t>(opts_.batch_size),
-                            test.name};
+  // A test built narrower than the campaign grades at its own width.
+  const int lane_width =
+      std::min(opts_.lane_width, resolve_lane_width(test.lane_width));
+  const ScheduleContext ctx{
+      static_cast<std::size_t>(std::min(opts_.batch_size, lane_width - 1)),
+      test.name};
   const BatchPlan plan = scheduler().plan(targets, ctx);
-  plan.validate(targets.size(),
-                static_cast<std::size_t>(opts_.lane_width - 1));
+  plan.validate(targets.size(), static_cast<std::size_t>(lane_width - 1));
   std::vector<FaultId> planned(targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i)
     planned[i] = targets[plan.order[i]];
@@ -138,7 +141,7 @@ BitVec CampaignEngine::grade(std::span<const FaultId> targets,
   ShardWork work{plan,       targets,           planned,
                  shard_ids,  test,              opts_.fault_model,
                  universe_->size(),             {},
-                 opts_.shard_timeout,           opts_.lane_width};
+                 opts_.shard_timeout,           lane_width};
   if (progress)
     work.progress = [&](std::size_t n) {
       std::lock_guard lock(progress_mu);

@@ -9,8 +9,8 @@
 // them:
 //
 //  * scheduling — the target fault list is cut into up-to-(lanes-1)-fault
-//    batches (one parallel-fault simulator pass each; 63 at the default
-//    64-lane width) by a pluggable
+//    batches (one parallel-fault simulator pass each; 255 at the default
+//    256-lane width, 63 for 64-lane tests) by a pluggable
 //    BatchScheduler (scheduler.hpp: fixed spans by default, cone-aware
 //    grouping, profile-guided adaptive splitting);
 //  * execution — the planned shards run on a pluggable ShardExecutor
@@ -31,7 +31,7 @@
 // Workloads plug in through FaultBatchRunner: the SBST campaign wraps
 // SequentialFaultSimulator + SocFsimEnvironment, the scan flow wraps
 // ScanTestRunner, and ad-hoc sweeps can wrap anything that grades a
-// 63-fault span.
+// span of up to CampaignTest::lane_width - 1 faults (63 unless set).
 #pragma once
 
 #include <cstdint>
@@ -73,6 +73,11 @@ struct CampaignTest {
   std::string name;
   int good_cycles = 0;
   std::function<std::unique_ptr<FaultBatchRunner>()> make_runner;
+  /// Packed width the runners were built at: the engine caps this test's
+  /// batches at lane_width - 1 faults, whatever CampaignOptions::lane_width
+  /// asks for. The default fits 63-fault kernels (ScanTestRunner and
+  /// other make_function_test wrappers).
+  int lane_width = 64;
   /// Optional wire description of this test for remote executors: an
   /// opaque JSON document a worker-side workload uses to rebuild the
   /// grading state make_runner captures (program id, fsim options, state
@@ -85,15 +90,18 @@ struct CampaignOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency().
   int threads = 0;
   /// Packed kernel width (64/128/256); unsupported requests fall back to
-  /// 64 (resolve_lane_width). Pure throughput knob: detection sets are
-  /// bit-identical at every width.
-  int lane_width = 64;
+  /// 64 (resolve_lane_width). Defaults to the widest the build has, the
+  /// measured fastest. Pure throughput knob: detection sets are
+  /// bit-identical at every width. A test built narrower
+  /// (CampaignTest::lane_width) grades at its own width.
+  int lane_width = kMaxLaneWidth;
   /// Dirty-D incremental clocking in the packed kernel (false = full
   /// two-pass latch oracle). Pure work-skipping knob: detection sets are
   /// bit-identical in both modes.
   bool incremental_clocking = true;
   /// Faults per shard; clamped to [1, lane_width - 1] (lane 0 is the good
-  /// machine). The default tracks the resolved width: lanes - 1.
+  /// machine), and per test to its CampaignTest::lane_width - 1. The
+  /// default tracks the resolved width: lanes - 1.
   int batch_size = 0;
   /// Detected faults leave the target queue before the next test. Off, every
   /// test grades the full testable universe (the regression baseline).

@@ -215,26 +215,65 @@ std::vector<ShardResult> InProcessExecutor::execute(const ShardWork& work) {
 // ---------------------------------------------------------------------------
 // Wire format
 
-Json shard_request_to_json(const ShardWork& work) {
-  Json doc = Json::object();
-  doc.set("type", "grade");
-  doc.set("protocol", kWorkerProtocolVersion);
-  doc.set("test", work.test.name);
-  doc.set("fault_model", std::string(fault_model_name(work.fault_model)));
-  doc.set("spec", work.test.spec);
+namespace {
+
+/// Appends `[v0,v1,...]` — the compact Json::dump() form of an array of
+/// non-negative integers (all below 2^32, so exact as JSON doubles).
+template <class Range>
+void append_uint_array(std::string& out, const Range& values) {
+  out += '[';
+  bool first = true;
+  for (const auto v : values) {
+    if (!first) out += ',';
+    first = false;
+    out += std::to_string(v);
+  }
+  out += ']';
+}
+
+}  // namespace
+
+std::string shard_request_to_json(const ShardWork& work,
+                                  std::span<const std::uint32_t> shards,
+                                  const ShardRequestFlags& flags) {
+  // Written as text, not built as a Json tree: a full-universe request
+  // carries two O(targets) arrays (plan order, targets), and one Json
+  // node per element costs ~25x the wire bytes in transient memory.
+  // The bytes are exactly what Json::dump() gives for the same document.
+  const BatchPlan& plan = work.plan;
+  std::string out;
+  out.reserve(1024 + 8 * (plan.order.size() + work.targets.size() +
+                          plan.batches() + shards.size()));
+  out += "{\"type\":\"grade\",\"protocol\":";
+  out += std::to_string(kWorkerProtocolVersion);
+  out += ",\"test\":" + Json(work.test.name).dump();
+  out += ",\"fault_model\":" +
+         Json(std::string(fault_model_name(work.fault_model))).dump();
+  out += ",\"spec\":" + work.test.spec.dump();
   // The default width stays implicit so width-64 requests are readable by
   // pre-width workers unchanged.
-  if (work.lane_width != 64) doc.set("lanes", work.lane_width);
-  doc.set("plan", batch_plan_to_json(work.plan, "wire"));
-  Json targets = Json::array();
-  for (FaultId f : work.targets)
-    targets.push_back(static_cast<std::size_t>(f));
-  doc.set("targets", std::move(targets));
-  Json shards = Json::array();
-  for (std::uint32_t s : work.shards)
-    shards.push_back(static_cast<std::size_t>(s));
-  doc.set("shards", std::move(shards));
-  return doc;
+  if (work.lane_width != 64)
+    out += ",\"lanes\":" + std::to_string(work.lane_width);
+  // The plan in batch_plan_to_json(plan, "wire") form.
+  out += ",\"plan\":{\"policy\":\"wire\",\"targets\":";
+  out += std::to_string(plan.order.size());
+  out += ",\"batches\":" + std::to_string(plan.batches());
+  out += ",\"order\":";
+  append_uint_array(out, plan.order);
+  out += ",\"batch_sizes\":[";
+  for (std::size_t b = 0; b < plan.batches(); ++b) {
+    if (b) out += ',';
+    out += std::to_string(plan.batch_size(b));
+  }
+  out += "]},\"targets\":";
+  append_uint_array(out, work.targets);
+  out += ",\"shards\":";
+  append_uint_array(out, shards);
+  if (flags.dynamic) out += ",\"dynamic\":true";
+  if (flags.heartbeat) out += ",\"heartbeat\":true";
+  if (flags.telemetry) out += ",\"telemetry\":true";
+  out += '}';
+  return out;
 }
 
 ShardRequest shard_request_from_json(const Json& doc) {
@@ -839,15 +878,15 @@ std::vector<ShardResult> SubprocessExecutor::execute(const ShardWork& work) {
 
   // One preamble per worker per execute(): the full O(targets) request
   // with an empty initial grant — all work flows through grant lines.
-  Json request = shard_request_to_json(work);
-  request.set("shards", Json::array());
-  request.set("dynamic", Json(true));
-  request.set("heartbeat", Json(true));
   // Side-band spans/counters only when someone is listening; the field's
   // absence keeps the wire bytes identical to pre-telemetry runs.
-  if (obs::tracer().enabled() || obs::metrics().enabled())
-    request.set("telemetry", Json(true));
-  const std::string preamble = request.dump() + "\n";
+  const std::string preamble =
+      shard_request_to_json(
+          work, {},
+          {.dynamic = true,
+           .heartbeat = true,
+           .telemetry = obs::tracer().enabled() || obs::metrics().enabled()}) +
+      "\n";
   std::string done_fp;  // first worker's state_fp; siblings must agree
 
   const auto send_text = [&](Worker& w, const std::string& text) {

@@ -139,8 +139,9 @@ struct ShardWork {
   /// bit-identical whatever deadline fires.
   double shard_timeout = 0;
   /// Packed kernel width the plan was formed for (CampaignOptions::
-  /// lane_width, already resolved). Bounds batch sizes at lane_width - 1
-  /// and is forwarded to remote workers as the request's "lanes" field.
+  /// lane_width, already resolved, capped at the test's own width).
+  /// Bounds batch sizes at lane_width - 1 and is forwarded to remote
+  /// workers as the request's "lanes" field.
   int lane_width = 64;
 };
 
@@ -360,7 +361,22 @@ struct ShardRequest {
   int lanes = 64;
 };
 
-Json shard_request_to_json(const ShardWork& work);
+/// Coordinator-side flags of a grade request (see ShardRequest); each is
+/// written only when set.
+struct ShardRequestFlags {
+  bool dynamic = false;
+  bool heartbeat = false;
+  bool telemetry = false;
+};
+
+/// Encodes the grade request for `work` with initial grant `shards` as
+/// one compact JSON document (no trailing newline), byte-identical to
+/// Json::dump() of the same document. The O(targets) arrays are written
+/// straight into the string, so the coordinator's transient memory stays
+/// near the wire size.
+std::string shard_request_to_json(const ShardWork& work,
+                                  std::span<const std::uint32_t> shards,
+                                  const ShardRequestFlags& flags = {});
 /// Parses and validates a grade request (plan validated against the
 /// target count, shard ids bounds-checked); fills `planned`. Throws
 /// JsonError on malformed documents, with the offending field's byte

@@ -1,8 +1,8 @@
 #include "cpu/soc.hpp"
 
+#include <bit>
 #include <cassert>
 
-#include "util/bits.hpp"
 #include "util/strings.hpp"
 
 namespace olfui {
@@ -155,17 +155,89 @@ void SocFsimEnvironmentT<W>::drive_mission_inputs(PackedSimT<W>& sim,
   }
 }
 
+namespace {
+
+/// Calls f(lane) for every set lane of `w`, in increasing lane order.
+template <class Word, class F>
+void for_each_lane(const Word& w, F&& f) {
+  for (int k = 0; k < static_cast<int>(sizeof(Word) / 8); ++k)
+    for (std::uint64_t m = word_of(w, k); m; m &= m - 1)
+      f(k * 64 + std::countr_zero(m));
+}
+
+}  // namespace
+
 template <int W>
-std::uint64_t SocFsimEnvironmentT<W>::mem_read(int lane,
+std::uint64_t SocFsimEnvironmentT<W>::BusRead::lane_value(int lane) const {
+  std::uint64_t v = 0;
+  for (int b = 0; b < kBusBits; ++b)
+    v |= static_cast<std::uint64_t>(lane_test(bits[b], lane)) << b;
+  return v;
+}
+
+template <int W>
+void SocFsimEnvironmentT<W>::read_bus(const PackedSimT<W>& sim,
+                                      const std::vector<CellId>& cells,
+                                      BusRead& out) const {
+  out.good = 0;
+  out.diverged = Word{};
+  for (int b = 0; b < kBusBits; ++b) {
+    const Word& w = sim.observed(cells[static_cast<std::size_t>(b)]);
+    const bool good = word_of(w, 0) & 1ULL;
+    out.bits[b] = w;
+    out.good |= static_cast<std::uint64_t>(good) << b;
+    out.diverged |= w ^ (good ? kAllLanes<Word> : Word{});
+  }
+}
+
+template <int W>
+template <class LaneValue>
+void SocFsimEnvironmentT<W>::drive_bus(PackedSimT<W>& sim, const Bus& bus,
+                                       std::uint64_t good, const Word& lanes,
+                                       LaneValue lane_value) {
+  std::array<Word, kBusBits> bits;
+  for (int b = 0; b < kBusBits; ++b)
+    bits[b] = (good >> b) & 1ULL ? kAllLanes<Word> : Word{};
+  for_each_lane(lanes, [&](int lane) {
+    const std::uint64_t flip = 1ULL << (lane % 64);
+    for (std::uint64_t d = (lane_value(lane) ^ good) & 0xFFFF'FFFFULL; d;
+         d &= d - 1) {
+      Word& w = bits[std::countr_zero(d)];
+      set_word_of(w, lane / 64, word_of(w, lane / 64) ^ flip);
+    }
+  });
+  for (int b = 0; b < kBusBits; ++b)
+    sim.set_input_lanes(bus[static_cast<std::size_t>(b)], bits[b]);
+}
+
+template <int W>
+const typename SocFsimEnvironmentT<W>::Ram& SocFsimEnvironmentT<W>::ram_of(
+    int lane) const {
+  return lane_test(private_, lane) ? private_ram_[static_cast<std::size_t>(lane)]
+                                   : ram_;
+}
+
+template <int W>
+void SocFsimEnvironmentT<W>::mem_write(Ram& ram, std::uint64_t addr,
+                                       std::uint64_t data) const {
+  if (soc_->map.contains(addr))
+    ram[addr & ~3ULL] = static_cast<std::uint32_t>(data);
+}
+
+template <int W>
+std::uint64_t SocFsimEnvironmentT<W>::mem_read(const Ram& ram,
                                                std::uint64_t addr) const {
-  const auto it = ram_[static_cast<std::size_t>(lane)].find(addr & ~3ULL);
-  if (it != ram_[static_cast<std::size_t>(lane)].end()) return it->second;
+  const auto it = ram.find(addr & ~3ULL);
+  if (it != ram.end()) return it->second;
   return flash_->read(addr);
 }
 
 template <int W>
 void SocFsimEnvironmentT<W>::reset(PackedSimT<W>& sim) {
-  for (auto& r : ram_) r.clear();
+  // Private copies are overwritten when a lane next diverges, so only the
+  // shared RAM needs clearing.
+  ram_.clear();
+  private_ = Word{};
   halt_seen_ = false;
   drive_mission_inputs(sim, false);
   sim.set_input_word(soc_->cpu.instr_in, 0);
@@ -177,32 +249,48 @@ void SocFsimEnvironmentT<W>::reset(PackedSimT<W>& sim) {
 
 template <int W>
 bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
-  using Word = LaneWord<W>;
   if (cycle >= run_cycles_ || halt_seen_) return false;
   drive_mission_inputs(sim, true);
   sim.eval();
-  // Per-lane instruction fetch: a faulty machine that wanders to a wrong
-  // address fetches whatever the flash holds there (NOP outside).
-  const auto iaddr = read_observed_bus_lanes(sim, iaddr_cells_);
-  std::array<std::uint64_t, W> instr{};
-  for (int l = 0; l < W; ++l) instr[l] = flash_->read(iaddr[l]);
-  drive_bus_lanes(sim, soc_->cpu.instr_in, instr);
+  // Instruction fetch: a faulty machine that wanders to a wrong address
+  // fetches whatever the flash holds there (NOP outside).
+  read_bus(sim, iaddr_cells_, iaddr_);
+  drive_bus(sim, soc_->cpu.instr_in, flash_->read(iaddr_.good),
+            iaddr_.diverged,
+            [&](int lane) { return flash_->read(iaddr_.lane_value(lane)); });
   sim.eval();
-  // Bus transactions, per lane.
-  const auto baddr = read_observed_bus_lanes(sim, baddr_cells_);
-  const auto bwdata = read_observed_bus_lanes(sim, bwdata_cells_);
+
+  // Bus transactions.
+  read_bus(sim, baddr_cells_, baddr_);
+  read_bus(sim, bwdata_cells_, bwdata_);
   const Word wr = sim.observed(bwr_cell_);
   const Word rd = sim.observed(brd_cell_);
-  std::array<std::uint64_t, W> rdata{};
-  for (int l = 0; l < W; ++l) {
-    if (lane_test(wr, l)) {
-      if (soc_->map.contains(baddr[l]))
-        ram_[static_cast<std::size_t>(l)][baddr[l] & ~3ULL] =
-            static_cast<std::uint32_t>(bwdata[l]);
-    }
-    if (lane_test(rd, l)) rdata[l] = mem_read(l, baddr[l]);
-  }
-  drive_bus_lanes(sim, soc_->cpu.rdata_in, rdata);
+  const Word wr_good = lane_test(wr, 0) ? kAllLanes<Word> : Word{};
+  const Word rd_good = lane_test(rd, 0) ? kAllLanes<Word> : Word{};
+  // Copy-on-diverge: a lane whose write differs from lane 0's (strobe, or
+  // address/data while both write) takes its copy before anyone writes.
+  const Word write_diverged =
+      (wr ^ wr_good) | (wr & wr_good & (baddr_.diverged | bwdata_.diverged));
+  for_each_lane(write_diverged & ~private_, [&](int lane) {
+    private_ram_[static_cast<std::size_t>(lane)] = ram_;
+  });
+  private_ |= write_diverged;
+  for_each_lane(wr & private_, [&](int lane) {
+    mem_write(private_ram_[static_cast<std::size_t>(lane)],
+              baddr_.lane_value(lane), bwdata_.lane_value(lane));
+  });
+  if (lane_test(wr, 0)) mem_write(ram_, baddr_.good, bwdata_.good);
+  // Reads see this cycle's writes. A lane reads what lane 0 reads unless
+  // its strobe differs, or it reads from another address or its own RAM.
+  const std::uint64_t rdata =
+      lane_test(rd, 0) ? mem_read(ram_, baddr_.good) : 0;
+  drive_bus(sim, soc_->cpu.rdata_in, rdata,
+            (rd ^ rd_good) | (rd & (baddr_.diverged | private_)),
+            [&](int lane) -> std::uint64_t {
+              return lane_test(rd, lane)
+                         ? mem_read(ram_of(lane), baddr_.lane_value(lane))
+                         : 0;
+            });
   sim.eval();
   // Let the comparison see the halting cycle, then stop on the next one.
   if (lane_test(sim.observed(halted_cell_), 0)) halt_seen_ = true;

@@ -12,9 +12,9 @@
 //  * SocSimulator — 4-valued single-machine functional runner (program
 //    bring-up, architectural tests, toggle-activity recording);
 //  * SocFsimEnvironment — the packed W-lane environment for the fault
-//    simulator (64 scalar by default, 128/256 over vector extensions),
-//    with per-lane RAM so faulty machines that stray to wrong addresses
-//    read what real silicon would read.
+//    simulator (64 lanes scalar, 128/256 over vector extensions), with
+//    copy-on-diverge per-lane RAM so faulty machines that stray to wrong
+//    addresses read what real silicon would read.
 #pragma once
 
 #include <array>
@@ -103,6 +103,18 @@ class SocSimulator {
 };
 
 /// Packed fault-simulation environment with per-lane data memory.
+///
+/// Divergence-aware (the concurrent-fault-simulation idea applied at the
+/// bus boundary): each cycle reads every observed bus as lane 0's value
+/// plus the mask of lanes that differ from it, serves lane 0's fetch and
+/// memory access once, and does per-lane work only for the divergent
+/// lanes — a cycle costs O(bus bits + divergent lanes), not O(W^2). Data
+/// memory is copy-on-diverge: every lane reads and writes lane 0's RAM
+/// until its write transaction (strobe, address or data) first differs
+/// from lane 0's, when it takes a private copy of the RAM as it stood
+/// before that cycle's writes. A lane that never diverges therefore holds
+/// exactly lane 0's RAM, so the per-lane results are those of W separate
+/// memories.
 template <int W>
 class SocFsimEnvironmentT : public FsimEnvironmentT<W> {
  public:
@@ -112,14 +124,40 @@ class SocFsimEnvironmentT : public FsimEnvironmentT<W> {
   bool step(PackedSimT<W>& sim, int cycle) override;
 
  private:
+  using Word = LaneWord<W>;
+  using Ram = std::unordered_map<std::uint64_t, std::uint32_t>;
+  static constexpr int kBusBits = 32;
+
+  /// One observed bus this cycle: its per-bit lane words, lane 0's value,
+  /// and the lanes whose value differs from lane 0's.
+  struct BusRead {
+    std::array<Word, kBusBits> bits{};
+    std::uint64_t good = 0;
+    Word diverged{};
+    /// Lane `lane`'s value, gathered from the per-bit words.
+    std::uint64_t lane_value(int lane) const;
+  };
+
   void drive_mission_inputs(PackedSimT<W>& sim, bool rstn_value);
-  std::uint64_t mem_read(int lane, std::uint64_t addr) const;
+  void read_bus(const PackedSimT<W>& sim, const std::vector<CellId>& cells,
+                BusRead& out) const;
+  /// Drives `good` on every lane of `bus`, then flips, for each lane of
+  /// `lanes`, the bits where lane_value(lane) differs from it.
+  template <class LaneValue>
+  void drive_bus(PackedSimT<W>& sim, const Bus& bus, std::uint64_t good,
+                 const Word& lanes, LaneValue lane_value);
+  const Ram& ram_of(int lane) const;
+  void mem_write(Ram& ram, std::uint64_t addr, std::uint64_t data) const;
+  std::uint64_t mem_read(const Ram& ram, std::uint64_t addr) const;
 
   const Soc* soc_;
   const FlashImage* flash_;
   int run_cycles_;
   bool halt_seen_ = false;
-  std::array<std::unordered_map<std::uint64_t, std::uint32_t>, W> ram_;
+  Ram ram_;                        ///< lane 0's RAM, shared by non-private lanes
+  Word private_{};                 ///< lanes that own a copy in private_ram_
+  std::array<Ram, W> private_ram_;
+  BusRead iaddr_, baddr_, bwdata_;  ///< per-cycle scratch
   // Cached port-cell groups for observed reads.
   std::vector<CellId> iaddr_cells_, baddr_cells_, bwdata_cells_;
   CellId bwr_cell_, brd_cell_, halted_cell_;
@@ -127,22 +165,5 @@ class SocFsimEnvironmentT : public FsimEnvironmentT<W> {
 
 /// The scalar 64-lane environment every pre-width-parametric caller uses.
 using SocFsimEnvironment = SocFsimEnvironmentT<64>;
-
-/// Per-lane observed read of a port-cell bus (applies PO-pin injections).
-template <int W>
-std::array<std::uint64_t, W> read_observed_bus_lanes(
-    const PackedSimT<W>& sim, const std::vector<CellId>& cells) {
-  constexpr int K = W / 64;
-  using Word = LaneWord<W>;
-  std::array<std::uint64_t, static_cast<std::size_t>(W) * K> m{};
-  for (std::size_t b = 0; b < cells.size(); ++b) {
-    const Word v = sim.observed(cells[b]);
-    for (int k = 0; k < K; ++k) m[b * K + k] = word_of(v, k);
-  }
-  transpose_bits<W>(m.data());
-  std::array<std::uint64_t, W> out{};
-  for (int l = 0; l < W; ++l) out[l] = m[static_cast<std::size_t>(l) * K];
-  return out;
-}
 
 }  // namespace olfui

@@ -6,7 +6,6 @@
 
 #include "fault/tdf.hpp"
 #include "obs/metrics.hpp"
-#include "util/bits.hpp"
 
 namespace olfui {
 
@@ -174,22 +173,18 @@ void SequentialFaultSimulatorT<W>::prepare_trace(const ReferenceTrace* trace) {
 }
 
 template <int W>
-typename SequentialFaultSimulatorT<W>::Word
-SequentialFaultSimulatorT<W>::observe_divergence(
-    int cycle, const ReferenceTrace* trace) const {
-  Word diverged{};
+void SequentialFaultSimulatorT<W>::observe_divergence(
+    int cycle, const ReferenceTrace* trace, Word& diverged) const {
   const std::size_t c = static_cast<std::size_t>(cycle);
   for (std::size_t k = 0; k < observed_.size(); ++k) {
-    const Word w = sim_.observed(observed_[k]);
+    const Word& w = sim_.observed(observed_[k]);
     // Reference value: the checkpoint column if we have one, else a
     // broadcast of the good machine's (lane 0) bit.
     const bool good_bit =
         trace ? ((observed_history_[k][c / 64] >> (c % 64)) & 1ULL) != 0
               : (word_of(w, 0) & 1ULL) != 0;
-    const Word good = lane_broadcast<Word>(good_bit);
-    diverged |= (w ^ good);
+    diverged |= w ^ (good_bit ? kAllLanes<Word> : Word{});
   }
-  return diverged;
 }
 
 template <int W>
@@ -211,7 +206,8 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
   Word fault_lanes{};
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const Fault& f = universe_->fault(faults[i]);
-    const Word lane = lane_bit<Word>(static_cast<int>(i) + 1);
+    Word lane{};
+    set_lane(lane, static_cast<int>(i) + 1);
     fault_lanes |= lane;
     sim_.add_injection({f.pin.cell, f.pin.pin, f.sa1, lane});
   }
@@ -223,7 +219,8 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
   Word diverged{};
   for (int cycle = 0; cycle < bound; ++cycle) {
     if (!env.step(sim_, cycle)) break;
-    diverged = (diverged | observe_divergence(cycle, trace)) & fault_lanes;
+    observe_divergence(cycle, trace, diverged);
+    diverged &= fault_lanes;
     if (opts_.early_exit && !lane_neq(diverged, fault_lanes)) break;
     sim_.clock();
   }
@@ -287,7 +284,7 @@ LaneMask SequentialFaultSimulatorT<W>::run_tdf_batch(
   Word fault_lanes{};
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const Fault& f = universe_->fault(faults[i]);
-    fault_lanes |= lane_bit<Word>(static_cast<int>(i) + 1);
+    set_lane(fault_lanes, static_cast<int>(i) + 1);
     sim_.add_injection({f.pin.cell, f.pin.pin, f.sa1, Word{}});
   }
   sim_.power_on();
@@ -303,11 +300,14 @@ LaneMask SequentialFaultSimulatorT<W>::run_tdf_batch(
         cycle > 0 ? site_good[static_cast<std::size_t>(cycle) - 1] : cur;
     const LaneMask launched =
         ((~prev & cur) & rise) | ((prev & ~cur) & ~rise);
-    for (std::size_t i = 0; i < faults.size(); ++i)
-      sim_.set_injection_lanes(
-          i, launched.bit(i) ? lane_bit<Word>(static_cast<int>(i) + 1) : Word{});
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      Word armed{};
+      if (launched.bit(i)) set_lane(armed, static_cast<int>(i) + 1);
+      sim_.set_injection_lanes(i, armed);
+    }
     if (!env.step(sim_, cycle)) break;
-    diverged = (diverged | observe_divergence(cycle, trace)) & fault_lanes;
+    observe_divergence(cycle, trace, diverged);
+    diverged &= fault_lanes;
     if (opts_.early_exit && !lane_neq(diverged, fault_lanes)) break;
     sim_.clock();
   }

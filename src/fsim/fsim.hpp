@@ -18,7 +18,6 @@
 //    pass for one fault; used for ATPG validation and property tests.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -29,7 +28,6 @@
 #include "fault/universe.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/packed.hpp"
-#include "util/bits.hpp"
 #include "util/bitvec.hpp"
 #include "util/lanes.hpp"
 
@@ -51,43 +49,6 @@ class FsimEnvironmentT {
 
 /// The scalar 64-lane environment interface (the pre-width-parametric name).
 using FsimEnvironment = FsimEnvironmentT<64>;
-
-/// Transposes W per-lane values (buses are at most 64 bits wide) onto the
-/// per-bit lane words of a bus.
-template <int W>
-void drive_bus_lanes(
-    PackedSimT<W>& sim, const Bus& bus,
-    const std::array<std::uint64_t, static_cast<std::size_t>(W)>& lane_values) {
-  // Row l = lane l's value; after the transpose row b bit l = lane l's
-  // bit b, i.e. exactly the per-bit lane word.
-  constexpr int K = W / 64;
-  using Word = LaneWord<W>;
-  std::array<std::uint64_t, static_cast<std::size_t>(W) * K> m{};
-  for (int l = 0; l < W; ++l) m[static_cast<std::size_t>(l) * K] = lane_values[l];
-  transpose_bits<W>(m.data());
-  for (std::size_t b = 0; b < bus.size(); ++b) {
-    Word w{};
-    for (int k = 0; k < K; ++k) set_word_of(w, k, m[b * K + k]);
-    sim.set_input_lanes(bus[b], w);
-  }
-}
-
-/// Reads a bus back into per-lane values.
-template <int W>
-std::array<std::uint64_t, W> read_bus_lanes(const PackedSimT<W>& sim,
-                                            const Bus& bus) {
-  constexpr int K = W / 64;
-  using Word = LaneWord<W>;
-  std::array<std::uint64_t, static_cast<std::size_t>(W) * K> m{};
-  for (std::size_t b = 0; b < bus.size(); ++b) {
-    const Word v = sim.value(bus[b]);
-    for (int k = 0; k < K; ++k) m[b * K + k] = word_of(v, k);
-  }
-  transpose_bits<W>(m.data());
-  std::array<std::uint64_t, W> out{};
-  for (int l = 0; l < W; ++l) out[l] = m[static_cast<std::size_t>(l) * K];
-  return out;
-}
 
 struct SeqFsimOptions {
   int max_cycles = 100000;
@@ -237,11 +198,12 @@ class SequentialFaultSimulatorT {
   const PackedSimT<W>& sim() const { return sim_; }
 
  private:
-  /// One cycle's observed-output divergence word against the reference
-  /// (checkpoint bit when `trace` is given, else a lane-0 broadcast).
-  /// Shared by the stuck-at and TDF batch loops so the two models can
-  /// never drift on observation semantics.
-  Word observe_divergence(int cycle, const ReferenceTrace* trace) const;
+  /// ORs one cycle's observed-output divergence word against the
+  /// reference (checkpoint bit when `trace` is given, else a lane-0
+  /// broadcast) into `diverged`. Shared by the stuck-at and TDF batch
+  /// loops so the two models can never drift on observation semantics.
+  void observe_divergence(int cycle, const ReferenceTrace* trace,
+                          Word& diverged) const;
   /// Repacks per-lane divergence (lane i+1 = faults[i]) into per-fault bits.
   static LaneMask unpack_detected(const Word& diverged, std::size_t n);
   /// Extracts each observed output's history column from `trace` once per

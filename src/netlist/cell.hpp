@@ -83,59 +83,73 @@ inline constexpr int kMuxS = 2;
 inline constexpr int kDffD = 0;
 inline constexpr int kDffRstn = 1;
 
-/// Two-valued evaluation of a combinational cell given packed input words.
-/// `Word` is a lane word (util/lanes.hpp): std::uint64_t carries 64
-/// independent simulation lanes, the vector-extension words carry 128 or
-/// 256. Pure bitwise logic, so one definition serves every width.
-/// Not valid for sequential/port cells.
+/// Two-valued evaluation of a combinational cell given packed input words,
+/// written to `out`. `Word` is a lane word (util/lanes.hpp): std::uint64_t
+/// carries 64 independent simulation lanes, the vector-extension words
+/// carry 128 or 256 (hence the out-parameter: a 256-bit vector passed or
+/// returned by value changes the ABI between AVX and non-AVX builds).
+/// Pure bitwise logic, so one definition serves every width. Not valid
+/// for sequential/port cells.
 template <class Word>
-Word eval_packed(CellType t, const Word* in, int n) {
+void eval_packed(CellType t, const Word* in, int n, Word& out) {
   switch (t) {
     case CellType::kTie0:
-      return Word{};
+      out = Word{};
+      return;
     case CellType::kTie1:
-      return ~Word{};
+      out = ~Word{};
+      return;
     case CellType::kBuf:
-      return in[0];
+      out = in[0];
+      return;
     case CellType::kNot:
-      return ~in[0];
+      out = ~in[0];
+      return;
     case CellType::kAnd2:
     case CellType::kAnd3:
     case CellType::kAnd4: {
       Word v = in[0];
       for (int i = 1; i < n; ++i) v &= in[i];
-      return v;
+      out = v;
+      return;
     }
     case CellType::kOr2:
     case CellType::kOr3:
     case CellType::kOr4: {
       Word v = in[0];
       for (int i = 1; i < n; ++i) v |= in[i];
-      return v;
+      out = v;
+      return;
     }
     case CellType::kNand2:
     case CellType::kNand3:
     case CellType::kNand4: {
       Word v = in[0];
       for (int i = 1; i < n; ++i) v &= in[i];
-      return ~v;
+      out = ~v;
+      return;
     }
     case CellType::kNor2:
     case CellType::kNor3:
     case CellType::kNor4: {
       Word v = in[0];
       for (int i = 1; i < n; ++i) v |= in[i];
-      return ~v;
+      out = ~v;
+      return;
     }
     case CellType::kXor2:
-      return in[0] ^ in[1];
+      out = in[0] ^ in[1];
+      return;
     case CellType::kXnor2:
-      return ~(in[0] ^ in[1]);
+      out = ~(in[0] ^ in[1]);
+      return;
     case CellType::kMux2:
-      return (in[kMuxS] & in[kMuxB]) | (~in[kMuxS] & in[kMuxA]);
+      out = (in[kMuxS] & in[kMuxB]) | (~in[kMuxS] & in[kMuxA]);
+      return;
     default:
       assert(false && "eval_packed called on non-combinational cell");
-      return Word{};
+      out = Word{};
+      return;
   }
 }
 

@@ -405,6 +405,7 @@ SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
   out.trace = trace;
   out.test.name = program.name;
   out.test.good_cycles = good_cycles;
+  out.test.lane_width = opts.lanes;
   Json spec = Json::object();
   spec.set("workload", "sbst");
   spec.set("program", program.name);

@@ -69,8 +69,11 @@ struct SbstCampaignResult {
 /// benches). `fault_model` selects the grading kernel: kStuckAt wraps
 /// run_batch, kTransition wraps the launch/capture run_tdf_batch over the
 /// same fault ids (fault/tdf.hpp). `lanes` selects the packed kernel
-/// width (64/128/256; unsupported widths fall back to 64) — a pure
-/// throughput knob, detection sets are bit-identical at every width.
+/// width (64/128/256; unsupported widths fall back to 64; default the
+/// widest the build has, kMaxLaneWidth, the measured fastest) — a pure
+/// throughput knob, detection sets are bit-identical at every width. Each
+/// test records its width (CampaignTest::lane_width), so an engine asked
+/// for wider batches still hands it at most lanes - 1 faults.
 /// `incremental_clocking` selects the dirty-D clock path (false = full
 /// two-pass latch oracle; bit-identical either way).
 /// Margin default shared by build_sbst_campaign_tests' declaration and
@@ -81,7 +84,7 @@ std::vector<CampaignTest> build_sbst_campaign_tests(
     const Soc& soc, std::vector<SbstProgram>& suite,
     const FaultUniverse& universe, int margin = kSbstCampaignMargin,
     bool event_driven = true, FaultModel fault_model = FaultModel::kStuckAt,
-    int lanes = 64, bool incremental_clocking = true);
+    int lanes = kMaxLaneWidth, bool incremental_clocking = true);
 
 /// One program's campaign test plus the recorded good-machine checkpoint
 /// (exposed so subprocess workers can fingerprint their rebuilt state —
@@ -104,7 +107,7 @@ SbstCampaignTest build_sbst_campaign_test(
     const Soc& soc, SbstProgram& program, const FaultUniverse& universe,
     std::shared_ptr<const PackedTopology> topo,
     int margin = kSbstCampaignMargin, bool event_driven = true,
-    FaultModel fault_model = FaultModel::kStuckAt, int lanes = 64,
+    FaultModel fault_model = FaultModel::kStuckAt, int lanes = kMaxLaneWidth,
     bool incremental_clocking = true);
 
 /// The worker half: reconstructs the campaign test a spec (produced by

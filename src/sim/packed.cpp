@@ -198,7 +198,8 @@ void PackedSimT<W>::add_injection(const Injection& inj) {
 }
 
 template <int W>
-void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
+void PackedSimT<W>::set_injection_lanes(std::size_t index,
+                                        const Word& lanes) {
   assert(index < inj_pos_.size());
   Injection& inj = inj_flat_[inj_pos_[index]];
   if (!lane_neq(inj.lanes, lanes)) return;
@@ -222,7 +223,7 @@ void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
     // the exposed value mid-cycle, so mirror clock()'s pass 2 for this one
     // flop: re-apply injections over the latched state and seed fanout.
     Word v = flop_state_[inj.cell];
-    v = apply_inj(inj.cell, nullptr, v, true);
+    apply_inj(inj.cell, nullptr, &v);
     if (lane_neq(v, values_[c.out])) {
       values_[c.out] = v;
       propagate_change(c.out);
@@ -286,11 +287,11 @@ template <int W>
 void PackedSimT<W>::set_input_all(NetId net, bool v) {
   const CellId drv = topo_->nl->net(net).driver;
   assert(drv != kInvalidId && topo_->nl->cell(drv).type == CellType::kInput);
-  input_hold_[drv] = lane_broadcast<Word>(v);
+  input_hold_[drv] = v ? kAllLanes<Word> : Word{};
 }
 
 template <int W>
-void PackedSimT<W>::set_input_lanes(NetId net, Word lanes) {
+void PackedSimT<W>::set_input_lanes(NetId net, const Word& lanes) {
   const CellId drv = topo_->nl->net(net).driver;
   assert(drv != kInvalidId && topo_->nl->cell(drv).type == CellType::kInput);
   input_hold_[drv] = lanes;
@@ -303,53 +304,54 @@ void PackedSimT<W>::set_input_word(const Bus& bus, std::uint64_t value) {
 }
 
 template <int W>
-typename PackedSimT<W>::Word PackedSimT<W>::apply_inj(
-    CellId id, Word* tmp, Word out_val, bool apply_output) const {
+void PackedSimT<W>::apply_inj(CellId id, Word* tmp, Word* out) const {
   const Injection* j = inj_flat_.data() + inj_start_[id];
   const Injection* const end = j + has_inj_[id];
   for (; j != end; ++j) {
-    if (j->pin == 0) {
-      if (apply_output)
-        out_val = j->sa1 ? (out_val | j->lanes) : (out_val & ~j->lanes);
-    } else if (tmp != nullptr) {
-      Word& w = tmp[j->pin - 1];
-      w = j->sa1 ? (w | j->lanes) : (w & ~j->lanes);
-    }
+    Word* w = j->pin == 0 ? out : tmp ? &tmp[j->pin - 1] : nullptr;
+    if (w) *w = j->sa1 ? (*w | j->lanes) : (*w & ~j->lanes);
   }
-  return out_val;
 }
 
 template <int W>
-typename PackedSimT<W>::Word PackedSimT<W>::compute_cell(
-    const PackedTopology::FlatCell& fc) const {
+void PackedSimT<W>::compute_cell(const PackedTopology::FlatCell& fc,
+                                 Word& out) const {
   const Word* vals = values_.data();
   if (__builtin_expect(has_inj_[fc.id], 0)) {
     Word tmp[4];
     for (int i = 0; i < fc.n; ++i) tmp[i] = vals[fc.in[i]];
-    apply_inj(fc.id, tmp, Word{}, false);
-    const Word out = eval_packed(fc.type, tmp, fc.n);
-    return apply_inj(fc.id, nullptr, out, true);
+    apply_inj(fc.id, tmp, nullptr);
+    eval_packed(fc.type, tmp, fc.n, out);
+    apply_inj(fc.id, nullptr, &out);
+    return;
   }
   // Hot path: inline the common gates, fall back for the rest.
   switch (fc.type) {
     case CellType::kAnd2:
-      return vals[fc.in[0]] & vals[fc.in[1]];
+      out = vals[fc.in[0]] & vals[fc.in[1]];
+      return;
     case CellType::kOr2:
-      return vals[fc.in[0]] | vals[fc.in[1]];
+      out = vals[fc.in[0]] | vals[fc.in[1]];
+      return;
     case CellType::kXor2:
-      return vals[fc.in[0]] ^ vals[fc.in[1]];
+      out = vals[fc.in[0]] ^ vals[fc.in[1]];
+      return;
     case CellType::kMux2: {
-      const Word s = vals[fc.in[kMuxS]];
-      return (s & vals[fc.in[kMuxB]]) | (~s & vals[fc.in[kMuxA]]);
+      const Word& s = vals[fc.in[kMuxS]];
+      out = (s & vals[fc.in[kMuxB]]) | (~s & vals[fc.in[kMuxA]]);
+      return;
     }
     case CellType::kNot:
-      return ~vals[fc.in[0]];
+      out = ~vals[fc.in[0]];
+      return;
     case CellType::kBuf:
-      return vals[fc.in[0]];
+      out = vals[fc.in[0]];
+      return;
     default: {
       Word tmp[4];
       for (int i = 0; i < fc.n; ++i) tmp[i] = vals[fc.in[i]];
-      return eval_packed(fc.type, tmp, fc.n);
+      eval_packed(fc.type, tmp, fc.n, out);
+      return;
     }
   }
 }
@@ -405,20 +407,20 @@ void PackedSimT<W>::run_full_sweep() {
     Word v = c.type == CellType::kTie1   ? ~Word{}
              : c.type == CellType::kTie0 ? Word{}
                                          : input_hold_[id];
-    if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
+    if (has_inj_[id]) apply_inj(id, nullptr, &v);
     values_[c.out] = v;
   }
   // Expose flop state (with Q-pin faults).
   for (CellId id : t.flop_cells) {
     Word v = flop_state_[id];
-    if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
+    if (has_inj_[id]) apply_inj(id, nullptr, &v);
     values_[t.nl->cell(id).out] = v;
   }
   // Levelized sweep over the flattened combinational cells. Both kernels
   // share compute_cell, so the sweep oracle and the event path can never
   // diverge on gate semantics.
   for (const PackedTopology::FlatCell& fc : t.order)
-    values_[fc.out] = compute_cell(fc);
+    compute_cell(fc, values_[fc.out]);
   // The sweep recomputed everything: retire pending arena entries by
   // zeroing the per-level counts and bumping the membership epoch. The
   // writes above were untracked, so dirty-D state is invalid — the next
@@ -440,7 +442,7 @@ void PackedSimT<W>::run_event_sweep() {
   // a per-eval scan.)
   for (CellId id : t.input_cells) {
     Word v = input_hold_[id];
-    if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
+    if (has_inj_[id]) apply_inj(id, nullptr, &v);
     const NetId out = t.nl->cell(id).out;
     if (lane_neq(v, values_[out])) {
       values_[out] = v;
@@ -464,7 +466,8 @@ void PackedSimT<W>::run_event_sweep() {
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint32_t k = seg[i];
       const PackedTopology::FlatCell& fc = t.order[k];
-      const Word out = compute_cell(fc);
+      Word out;
+      compute_cell(fc, out);
       if (lane_neq(out, values_[fc.out])) {
         values_[fc.out] = out;
         propagate_change(fc.out);
@@ -526,7 +529,7 @@ void PackedSimT<W>::clock() {
       const Cell& c = t.nl->cell(id);
       const int n = static_cast<int>(c.ins.size());
       for (int i = 0; i < n; ++i) tmp[i] = values_[c.ins[i]];
-      if (has_inj_[id]) apply_inj(id, tmp, Word{}, false);
+      if (has_inj_[id]) apply_inj(id, tmp, nullptr);
       // DFF: q' = d. DFFR (active-low reset to 0): q' = d & rstn.
       flop_state_[id] =
           c.type == CellType::kDff ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
@@ -539,7 +542,7 @@ void PackedSimT<W>::clock() {
     for (const std::uint32_t fi : dirty_scratch_) {
       const CellId id = t.flop_cells[fi];
       Word v = flop_state_[id];
-      if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
+      if (has_inj_[id]) apply_inj(id, nullptr, &v);
       const NetId out = t.nl->cell(id).out;
       if (lane_neq(v, values_[out])) {
         values_[out] = v;
@@ -563,7 +566,7 @@ void PackedSimT<W>::clock() {
     const Cell& c = t.nl->cell(id);
     const int n = static_cast<int>(c.ins.size());
     for (int i = 0; i < n; ++i) tmp[i] = values_[c.ins[i]];
-    if (has_inj_[id]) apply_inj(id, tmp, Word{}, false);
+    if (has_inj_[id]) apply_inj(id, tmp, nullptr);
     // DFF: q' = d. DFFR (active-low reset to 0): q' = d & rstn.
     flop_state_[id] =
         c.type == CellType::kDff ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
@@ -574,7 +577,7 @@ void PackedSimT<W>::clock() {
   if (mode_ == PackedEvalMode::kEventDriven && !needs_full_) {
     for (CellId id : t.flop_cells) {
       Word v = flop_state_[id];
-      if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
+      if (has_inj_[id]) apply_inj(id, nullptr, &v);
       const NetId out = t.nl->cell(id).out;
       if (lane_neq(v, values_[out])) {
         values_[out] = v;
@@ -586,21 +589,22 @@ void PackedSimT<W>::clock() {
 }
 
 template <int W>
-typename PackedSimT<W>::Word PackedSimT<W>::observed(
+const typename PackedSimT<W>::Word& PackedSimT<W>::observed(
     CellId output_cell) const {
   const Cell& c = topo_->nl->cell(output_cell);
   assert(c.type == CellType::kOutput);
   // Injections are grouped lazily; observing between add_injection() and
   // the next eval()/clock() would silently miss port faults.
   assert(!inj_dirty_ && "call eval() after changing injections");
-  Word v = values_[c.ins[0]];
-  if (has_inj_[output_cell]) {
-    const Injection* j = inj_flat_.data() + inj_start_[output_cell];
-    const Injection* const end = j + has_inj_[output_cell];
-    for (; j != end; ++j) {
-      if (j->pin != 1) continue;
-      v = j->sa1 ? (v | j->lanes) : (v & ~j->lanes);
-    }
+  const Word& net_value = values_[c.ins[0]];
+  if (!has_inj_[output_cell]) return net_value;
+  Word& v = observed_slot_;
+  v = net_value;
+  const Injection* j = inj_flat_.data() + inj_start_[output_cell];
+  const Injection* const end = j + has_inj_[output_cell];
+  for (; j != end; ++j) {
+    if (j->pin != 1) continue;
+    v = j->sa1 ? (v | j->lanes) : (v & ~j->lanes);
   }
   return v;
 }

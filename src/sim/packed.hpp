@@ -250,7 +250,7 @@ class PackedSimT {
   /// faults apply at clock() — only a flop Q fault needs (and gets) an
   /// explicit re-expose. This is the per-cycle arming primitive of the
   /// transition-delay flow, where a fault is live only on capture cycles.
-  void set_injection_lanes(std::size_t index, Word lanes);
+  void set_injection_lanes(std::size_t index, const Word& lanes);
 
   /// Zeroes all state (flops and nets). 2-valued power-on; drive a reset
   /// sequence afterwards for circuits that need one.
@@ -259,7 +259,7 @@ class PackedSimT {
   /// Drives the same value on all W lanes of a primary input.
   void set_input_all(NetId net, bool v);
   /// Drives an explicit per-lane word on a primary input.
-  void set_input_lanes(NetId net, Word lanes);
+  void set_input_lanes(NetId net, const Word& lanes);
   /// Drives bit i of `value` on all lanes of bus[i].
   void set_input_word(const Bus& bus, std::uint64_t value);
 
@@ -281,16 +281,22 @@ class PackedSimT {
   void reset_activity() { activity_ = {}; }
   std::size_t comb_cell_count() const { return topo_->order.size(); }
 
-  Word value(NetId net) const { return values_[net]; }
+  const Word& value(NetId net) const { return values_[net]; }
   /// Value seen by a top-level output port, including any injection on the
-  /// port cell's input pin (PO stuck-at faults).
-  Word observed(CellId output_cell) const;
+  /// port cell's input pin (PO stuck-at faults). Wide words travel by
+  /// reference (passing a 256-bit vector by value changes the ABI between
+  /// AVX and non-AVX builds): the result refers to the port's net or, when
+  /// the port carries an injection, to a per-simulator slot that the next
+  /// observed() call overwrites — copy it to keep it.
+  const Word& observed(CellId output_cell) const;
 
   const Netlist& netlist() const { return *topo_->nl; }
   const PackedTopology& topology() const { return *topo_; }
 
  private:
-  Word apply_inj(CellId id, Word* tmp, Word out_val, bool apply_output) const;
+  /// Applies the cell's injections: input-pin faults to tmp[pin - 1] and
+  /// output-pin faults to *out, each skipped when its pointer is null.
+  void apply_inj(CellId id, Word* tmp, Word* out) const;
   void prepare_injections();
   void run_full_sweep();
   void run_event_sweep();
@@ -303,7 +309,7 @@ class PackedSimT {
   void propagate_change(NetId net);
   void bump_event_epoch();
   void bump_flop_epoch();
-  Word compute_cell(const PackedTopology::FlatCell& fc) const;
+  void compute_cell(const PackedTopology::FlatCell& fc, Word& out) const;
 
   std::shared_ptr<const PackedTopology> topo_;
   PackedEvalMode mode_ = PackedEvalMode::kEventDriven;
@@ -311,6 +317,7 @@ class PackedSimT {
   std::vector<Word> values_;       // per net
   std::vector<Word> flop_state_;   // per cell (flop entries only)
   std::vector<Word> input_hold_;   // per cell: driven PI value
+  mutable Word observed_slot_{};   // observed() result of an injected port
 
   // Flat injection storage: inj_flat_ grouped by cell; cell c owns
   // inj_flat_[inj_start_[c] .. inj_start_[c] + has_inj_[c]). Rebuilt

@@ -101,19 +101,17 @@ inline bool lane_neq(const Word& a, const Word& b) {
   return lane_any(a ^ b);
 }
 
-/// All lanes set / all lanes clear from one bit (vector words cannot be
-/// initialized from a scalar).
+/// Every lane set: broadcast a bit as `bit ? kAllLanes<Word> : Word{}`
+/// (vector words cannot be initialized from a scalar). The helpers here
+/// never take or return a vector word by value — that would change the
+/// ABI between AVX and non-AVX builds (-Wpsabi).
 template <class Word>
-inline Word lane_broadcast(bool bit) {
-  return bit ? ~Word{} : Word{};
-}
+inline constexpr Word kAllLanes = ~Word{};
 
-/// A word with only `lane` set.
+/// Sets bit `lane` of a packed word.
 template <class Word>
-inline Word lane_bit(int lane) {
-  Word w{};
-  set_word_of(w, lane / 64, 1ULL << (lane % 64));
-  return w;
+inline void set_lane(Word& v, int lane) {
+  set_word_of(v, lane / 64, word_of(v, lane / 64) | (1ULL << (lane % 64)));
 }
 
 /// Bit `lane` of a packed word.

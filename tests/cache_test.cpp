@@ -184,9 +184,16 @@ TEST(CacheKey, CanonicalOptionsFormIsPinned) {
   // The exact grammar is load-bearing: any accidental change (field
   // rename, reorder, implicit default) would silently invalidate every
   // existing cache — or worse, alias two different configurations.
-  EXPECT_EQ(campaign_options_canonical(CampaignOptions{}),
+  CampaignOptions scalar;
+  scalar.lane_width = 64;
+  EXPECT_EQ(campaign_options_canonical(scalar),
             "campaign_options/v1|batch_size=0|fault_dropping=1|"
             "fault_model=stuck_at|lane_width=64|target_limit=0");
+  // The default width is the build's widest.
+  EXPECT_EQ(campaign_options_canonical(CampaignOptions{}),
+            "campaign_options/v1|batch_size=0|fault_dropping=1|"
+            "fault_model=stuck_at|lane_width=" +
+                std::to_string(kMaxLaneWidth) + "|target_limit=0");
 }
 
 TEST(CacheKey, OptionsHashTracksPayloadAffectingFieldsOnly) {

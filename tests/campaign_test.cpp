@@ -791,7 +791,7 @@ TEST(WorkerProtocol, RequestRoundTripsAndValidates) {
   const ShardWork work{plan,  targets,  targets, shards,
                        test,  FaultModel::kTransition, 99, {}};
 
-  const Json doc = shard_request_to_json(work);
+  const Json doc = Json::parse(shard_request_to_json(work, work.shards));
   const ShardRequest req = shard_request_from_json(doc);
   EXPECT_EQ(req.test, "t");
   EXPECT_EQ(req.fault_model, FaultModel::kTransition);
@@ -822,6 +822,76 @@ TEST(WorkerProtocol, RequestRoundTripsAndValidates) {
     bad.set("targets", std::move(few));
     EXPECT_THROW(shard_request_from_json(bad), JsonError);
   }
+}
+
+TEST(WorkerProtocol, RequestWireBytesArePinned) {
+  // The coordinator writes requests as text; these are the exact bytes
+  // Json::dump() gives for the same documents, so workers (and any
+  // recorded wire traffic) see no change.
+  BatchPlan plan;
+  plan.order = {3, 2, 1, 0};
+  plan.batch_start = {0, 2, 4};
+  const std::vector<FaultId> targets{10, 11, 12, 13};
+  const std::vector<std::uint32_t> shards{1};
+  CampaignTest test;
+  test.name = "t\"q";
+  test.spec = Json::object();
+  test.spec.set("marker", 42);
+  ShardWork work{plan, targets, targets, shards,
+                 test, FaultModel::kTransition, 99, {}};
+  work.lane_width = 128;
+  const std::string body =
+      R"({"type":"grade","protocol":2,"test":"t\"q","fault_model":)"
+      R"("transition","spec":{"marker":42},"lanes":128,"plan":{"policy":)"
+      R"("wire","targets":4,"batches":2,"order":[3,2,1,0],"batch_sizes":)"
+      R"([2,2]},"targets":[10,11,12,13],"shards":)";
+  EXPECT_EQ(shard_request_to_json(work, work.shards), body + "[1]}");
+  EXPECT_EQ(shard_request_to_json(
+                work, {},
+                {.dynamic = true, .heartbeat = true, .telemetry = true}),
+            body + R"([],"dynamic":true,"heartbeat":true,"telemetry":true})");
+  // Width 64 stays implicit.
+  work.lane_width = 64;
+  EXPECT_EQ(shard_request_to_json(work, work.shards).find("\"lanes\""),
+            std::string::npos);
+}
+
+TEST(WorkerProtocol, FullUniverseRequestRoundTrips) {
+  // A full-configuration request: every fault of the 60,520-fault SoC
+  // universe, 255-fault shards, a scrambled plan order.
+  constexpr std::size_t kTargets = 60'520;
+  BatchPlan plan = BatchPlan::fixed(kTargets, 255);
+  for (std::size_t i = 0; i < kTargets; ++i)
+    plan.order[i] = static_cast<std::uint32_t>((i * 7919) % kTargets);
+  std::vector<FaultId> targets(kTargets);
+  for (std::size_t i = 0; i < kTargets; ++i)
+    targets[i] = static_cast<FaultId>(3 * i + 1);
+  std::vector<FaultId> planned(kTargets);
+  for (std::size_t i = 0; i < kTargets; ++i)
+    planned[i] = targets[plan.order[i]];
+  std::vector<std::uint32_t> shards(plan.batches());
+  std::iota(shards.begin(), shards.end(), 0u);
+  CampaignTest test;
+  test.name = "mul";
+  test.spec = Json::object();
+  test.spec.set("workload", "sbst");
+  ShardWork work{plan, targets, planned, shards,
+                 test, FaultModel::kStuckAt, 3 * kTargets, {}};
+  work.lane_width = 256;
+
+  const std::string line = shard_request_to_json(work, work.shards);
+  const Json doc = Json::parse(line);
+  EXPECT_EQ(doc.dump(), line);  // the Json::dump() form, byte for byte
+  const ShardRequest req = shard_request_from_json(doc);
+  EXPECT_EQ(req.test, "mul");
+  EXPECT_EQ(req.fault_model, FaultModel::kStuckAt);
+  EXPECT_EQ(req.lanes, 256);
+  EXPECT_EQ(req.spec.at("workload").as_string(), "sbst");
+  EXPECT_EQ(req.plan.order, plan.order);
+  EXPECT_EQ(req.plan.batch_start, plan.batch_start);
+  EXPECT_EQ(req.targets, targets);
+  EXPECT_EQ(req.shards, shards);
+  EXPECT_EQ(req.planned, planned);
 }
 
 /// Grades "fault id is odd" and reports a fixed state fingerprint — just
@@ -874,7 +944,7 @@ TEST(WorkerProtocol, ServeWorkerGradesRequestedShardsOnly) {
                        test, FaultModel::kStuckAt, 77, {}};
 
   const std::vector<Json> lines =
-      run_serve_worker(shard_request_to_json(work).dump() + "\n", 0);
+      run_serve_worker(shard_request_to_json(work, work.shards) + "\n", 0);
   ASSERT_EQ(lines.size(), 4u);  // hello, 2 shards, done
   EXPECT_EQ(lines[0].at("type").as_string(), "hello");
   EXPECT_EQ(lines[0].at("protocol").as_int(), kWorkerProtocolVersion);
@@ -1019,9 +1089,10 @@ TEST(SubprocessExecutor, BitIdenticalToInProcessOnSbstWorkload) {
   std::vector<CampaignTest> tests = build_sbst_campaign_tests(*soc, suite, u);
   ASSERT_FALSE(tests[0].spec.is_null());
 
-  // A spread slice of the universe, wide enough for several shards.
+  // A spread slice of the universe, wide enough for several shards at
+  // either width.
   std::vector<FaultId> slice;
-  for (FaultId f = 0; f < u.size() && slice.size() < 200; f += 301)
+  for (FaultId f = 0; f < u.size() && slice.size() < 300; f += 199)
     slice.push_back(f);
 
   const auto exec1 = std::make_shared<SubprocessExecutor>(worker_cmd, 1);
@@ -1030,27 +1101,33 @@ TEST(SubprocessExecutor, BitIdenticalToInProcessOnSbstWorkload) {
       nullptr, std::make_shared<const ConeScheduler>(u),
       std::make_shared<const AdaptiveScheduler>()};
 
+  for (const int lanes : {64, kMaxLaneWidth})
   for (const auto& policy : policies) {
     // grade(): empty, single-fault, one-full-batch, and multi-shard
     // target lists (the executor-side edge cases).
-    const CampaignEngine inproc(u, {.threads = 2, .scheduler = policy});
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                                std::size_t{63}, slice.size()}) {
+    const CampaignEngine inproc(
+        u, {.threads = 2, .lane_width = lanes, .scheduler = policy});
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1},
+          static_cast<std::size_t>(lanes - 1), slice.size()}) {
       const auto targets = std::span(slice).first(n);
       const BitVec expect = inproc.grade(targets, tests[0]);
       for (const auto& exec : {exec1, exec2}) {
-        CampaignOptions o{.threads = 2, .scheduler = policy, .executor = exec};
+        CampaignOptions o{.threads = 2,
+                          .lane_width = lanes,
+                          .scheduler = policy,
+                          .executor = exec};
         const BitVec got = CampaignEngine(u, o).grade(targets, tests[0]);
         EXPECT_EQ(got, expect)
             << "policy " << (policy ? policy->name() : "fixed") << " workers "
-            << (exec == exec1 ? 1 : 2) << " n " << n;
+            << (exec == exec1 ? 1 : 2) << " n " << n << " lanes " << lanes;
       }
     }
 
     // run(): the merged result (and its deterministic JSON form) must be
     // byte-identical between executors.
-    CampaignOptions base{.threads = 2, .scheduler = policy,
-                         .target_limit = 200};
+    CampaignOptions base{.threads = 2, .lane_width = lanes,
+                         .scheduler = policy, .target_limit = 200};
     FaultList fl_in(u);
     const CampaignResult r_in = CampaignEngine(u, base).run(fl_in, tests);
     CampaignOptions sub = base;
@@ -1093,7 +1170,8 @@ TEST(SubprocessExecutor, TracedRunMergesWorkerLanesWithoutPerturbingPayload) {
   const auto exec =
       std::make_shared<SubprocessExecutor>(
           std::vector<std::string>{"./olfui_cli", "--worker"}, 2);
-  const CampaignEngine engine(u, {.threads = 2, .executor = exec});
+  const CampaignEngine engine(
+      u, {.threads = 2, .lane_width = 64, .executor = exec});
   const BitVec off = engine.grade(slice, tests[0]);
 
   BitVec on;
@@ -1107,7 +1185,7 @@ TEST(SubprocessExecutor, TracedRunMergesWorkerLanesWithoutPerturbingPayload) {
   }
   EXPECT_EQ(on, off);
 
-  // 200 targets = 4 shards, striped shard i -> worker i mod 2: both
+  // 200 targets = 4 shards of 63, striped shard i -> worker i mod 2: both
   // workers grade, so the trace shows exactly three pid lanes —
   // coordinator + two workers — and worker-side shard spans.
   std::set<int> pids;

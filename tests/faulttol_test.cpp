@@ -87,7 +87,7 @@ TEST(ShardRequestParsing, MalformedFieldErrorsPointIntoTheLine) {
   const ShardWork work{plan,   targets, planned,
                        shards, test,    FaultModel::kStuckAt,
                        100,    {},      0};
-  const std::string line = shard_request_to_json(work).dump(0);
+  const std::string line = shard_request_to_json(work, work.shards);
 
   // The pristine line round-trips.
   const ShardRequest req = shard_request_from_json(Json::parse(line));
@@ -131,6 +131,18 @@ struct SbstRig {
   }
 };
 
+/// The recovery scenarios below are laid out in 63-fault shards (e.g. 200
+/// targets = 4 shards a test), so they grade 64 lanes wide whatever the
+/// default width is.
+CampaignOptions scalar_options(int target_limit, double shard_timeout = 0) {
+  CampaignOptions opts;
+  opts.threads = 2;
+  opts.lane_width = 64;
+  opts.target_limit = static_cast<std::size_t>(target_limit);
+  opts.shard_timeout = shard_timeout;
+  return opts;
+}
+
 CampaignResult run_campaign(const FaultUniverse& u,
                             std::span<const CampaignTest> tests,
                             const CampaignOptions& opts) {
@@ -151,7 +163,7 @@ std::vector<std::string> chaos_worker(const std::string& spec) {
 TEST(FaultTolerance, KilledWorkerShardsAreReissuedBitIdentically) {
   SKIP_WITHOUT_CLI();
   const SbstRig rig(2);
-  const CampaignOptions base{.threads = 2, .target_limit = 200};
+  const CampaignOptions base = scalar_options(200);
   const CampaignResult clean = run_campaign(*rig.u, rig.tests, base);
   const std::string clean_json =
       campaign_result_to_json_string(clean, 2, false);
@@ -188,8 +200,7 @@ TEST(FaultTolerance, StalledWorkerTripsTheDeadlineAndIsReplaced) {
   const SbstRig rig(1);
   // An explicit (short) per-shard deadline: the stalled worker heartbeats
   // its first shard, then wedges; only the progress rule can catch it.
-  const CampaignOptions base{
-      .threads = 2, .target_limit = 130, .shard_timeout = 1.5};
+  const CampaignOptions base = scalar_options(130, 1.5);
   const CampaignResult clean = run_campaign(*rig.u, rig.tests, base);
 
   FleetOptions fleet;
@@ -215,7 +226,7 @@ TEST(FaultTolerance, StalledWorkerTripsTheDeadlineAndIsReplaced) {
 TEST(FaultTolerance, TruncatedReplyLineIsDetectedAndReissued) {
   SKIP_WITHOUT_CLI();
   const SbstRig rig(2);
-  const CampaignOptions base{.threads = 2, .target_limit = 200};
+  const CampaignOptions base = scalar_options(200);
   const CampaignResult clean = run_campaign(*rig.u, rig.tests, base);
 
   // Workers emit half a shard reply and exit 0: EOF with a nonempty line
@@ -243,7 +254,7 @@ TEST(FaultTolerance, TruncatedReplyLineIsDetectedAndReissued) {
 TEST(FaultTolerance, FleetCollapseDegradesToInProcessGrading) {
   SKIP_WITHOUT_CLI();
   const SbstRig rig(1);
-  const CampaignOptions base{.threads = 2, .target_limit = 130};
+  const CampaignOptions base = scalar_options(130);
   const CampaignResult clean = run_campaign(*rig.u, rig.tests, base);
 
   // ":all" keeps chaos armed across respawns: the lone worker crashes on

@@ -3,6 +3,7 @@
 #include "fault/fault_list.hpp"
 #include "fault/universe.hpp"
 #include "fsim/fsim.hpp"
+#include "lane_transpose.hpp"
 #include "netlist/wordops.hpp"
 
 namespace olfui {

@@ -11,7 +11,10 @@
 // policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -22,6 +25,8 @@
 #include "fault/universe.hpp"
 #include "fsim/fsim.hpp"
 #include "netlist/netlist.hpp"
+#include "scan/scan.hpp"
+#include "scan/scan_atpg.hpp"
 #include "sim/packed.hpp"
 #include "util/lanes.hpp"
 #include "util/rng.hpp"
@@ -224,6 +229,7 @@ CampaignTest make_design_test(const RandomDesign& d, const FaultUniverse& u,
   CampaignTest test;
   test.name = "rand";
   test.good_cycles = static_cast<int>(words.size());
+  test.lane_width = lanes;
   test.make_runner = [&d, &u, &words,
                       lanes]() -> std::unique_ptr<FaultBatchRunner> {
 #if OLFUI_HAS_WIDE_LANES
@@ -312,6 +318,124 @@ TEST(LaneWidth, EngineDerivesBatchSizeFromWidth) {
     const std::size_t batch = static_cast<std::size_t>(lanes) - 1;
     EXPECT_EQ(r.tests.at(0).batches, (u.size() + batch - 1) / batch) << lanes;
   }
+}
+
+// ---------------------------------------------------------------------------
+// A test built at 64 lanes keeps 63-fault batches however wide the engine
+// runs: the default engine width is the build's widest, and a 64-lane
+// kernel handed a 255-fault batch would run off its lanes.
+
+/// Tracks the largest batch any runner of a test was handed.
+struct BatchProbe {
+  std::atomic<std::size_t> max_batch{0};
+  void saw(std::size_t n) {
+    std::size_t m = max_batch.load();
+    while (n > m && !max_batch.compare_exchange_weak(m, n)) {
+    }
+  }
+};
+
+class ProbedDesignRunner final : public FaultBatchRunner {
+ public:
+  ProbedDesignRunner(const RandomDesign& d, const FaultUniverse& u,
+                     const std::vector<std::vector<bool>>& words,
+                     BatchProbe& probe)
+      : inner_(d, u, words), probe_(&probe) {}
+  LaneMask run_batch(std::span<const FaultId> faults) override {
+    probe_->saw(faults.size());
+    if (faults.size() > 63) return ~LaneMask{};  // never reach the kernel
+    return inner_.run_batch(faults);
+  }
+
+ private:
+  DesignBatchRunner<64> inner_;
+  BatchProbe* probe_;
+};
+
+TEST(LaneWidth, WideEngineKeepsNarrowTestsAtTheirOwnWidth) {
+  Rng rng(53);
+  RandomDesign d = random_design(rng, 6, 12, 90);
+  const FaultUniverse u(d.nl);
+  ASSERT_GT(u.size(), 255u);  // a 256-lane plan would batch past 63
+  std::vector<std::vector<bool>> words(16);
+  for (auto& w : words) {
+    w.resize(d.input_nets.size());
+    for (std::size_t i = 0; i < w.size(); ++i) w[i] = rng.next_bool();
+  }
+
+  const auto opts_at = [](int lanes) {
+    CampaignOptions opts;
+    opts.threads = 2;
+    opts.lane_width = lanes;
+    return opts;
+  };
+  FaultList fl64(u);
+  const CampaignResult r64 = CampaignEngine(u, opts_at(64)).run(
+      fl64, std::vector<CampaignTest>{make_design_test(d, u, words, 64)});
+  ASSERT_GT(r64.total_new_detections, 0u);
+
+  // A hand-built 64-lane runner (CampaignTest::lane_width left at 64).
+  BatchProbe runner_probe;
+  CampaignTest runner_test;
+  runner_test.name = "rand";
+  runner_test.good_cycles = static_cast<int>(words.size());
+  runner_test.make_runner = [&] {
+    return std::make_unique<ProbedDesignRunner>(d, u, words, runner_probe);
+  };
+  // A make_function_test kernel over one shared 64-lane simulator.
+  BatchProbe kernel_probe;
+  std::mutex kernel_mu;
+  DesignBatchRunner<64> shared(d, u, words);
+  const CampaignTest kernel_test = make_function_test(
+      "rand",
+      [&](std::span<const FaultId> faults) {
+        kernel_probe.saw(faults.size());
+        if (faults.size() > 63) return ~LaneMask{};
+        std::lock_guard lock(kernel_mu);
+        return shared.run_batch(faults);
+      },
+      static_cast<int>(words.size()));
+
+  for (const CampaignTest* test :
+       {static_cast<const CampaignTest*>(&runner_test), &kernel_test}) {
+    FaultList fl(u);
+    const CampaignResult r =
+        CampaignEngine(u, opts_at(kMaxLaneWidth)).run(fl, std::span(test, 1));
+    EXPECT_EQ(r.detected, r64.detected);
+    EXPECT_EQ(r.tests, r64.tests);  // same 63-fault batches, too
+  }
+  EXPECT_EQ(runner_probe.max_batch.load(), 63u);
+  EXPECT_EQ(kernel_probe.max_batch.load(), 63u);
+}
+
+TEST(LaneWidth, ScanTestGenerationIsWidthIndependent) {
+  // generate_scan_tests grades through the 63-fault ScanTestRunner; the
+  // default (widest) engine must give what an explicit 64-lane one gives.
+  Rng rng(59);
+  RandomDesign d = random_design(rng, 5, 14, 120);
+  const ScanChains chains = insert_scan(d.nl, {.num_chains = 2});
+  const FaultUniverse u(d.nl);
+  ASSERT_GT(u.size(), 255u);
+  ScanAtpgOptions opts;
+  opts.random_patterns = 6;
+  opts.max_deterministic_targets = 40;
+  opts.pin_constraints = {{d.input_nets[0], true}};
+
+  FaultList fl64(u);
+  opts.campaign.lane_width = 64;
+  const ScanAtpgResult r64 = generate_scan_tests(d.nl, chains, u, fl64, opts);
+  ASSERT_GT(r64.total_detected(), 0u);
+
+  FaultList fl(u);
+  opts.campaign = CampaignOptions{};
+  const ScanAtpgResult r = generate_scan_tests(d.nl, chains, u, fl, opts);
+  EXPECT_EQ(r.detected_by_chain_test, r64.detected_by_chain_test);
+  EXPECT_EQ(r.detected_by_random, r64.detected_by_random);
+  EXPECT_EQ(r.detected_by_deterministic, r64.detected_by_deterministic);
+  EXPECT_EQ(r.patterns.size(), r64.patterns.size());
+  EXPECT_EQ(fl.raw_coverage(), fl64.raw_coverage());
+  for (FaultId f = 0; f < u.size(); ++f)
+    ASSERT_EQ(fl.detect_state(f), fl64.detect_state(f)) << f;
 }
 
 }  // namespace

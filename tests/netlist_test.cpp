@@ -41,23 +41,28 @@ TEST(CellLibrary, PinNames) {
 }
 
 TEST(CellLibrary, EvalPackedTruthTables) {
+  const auto eval = [](CellType t, const std::uint64_t* in, int n) {
+    std::uint64_t out = 0xBAD;
+    eval_packed(t, in, n, out);
+    return out;
+  };
   const std::uint64_t a = 0b1100, b = 0b1010;
   std::uint64_t in2[] = {a, b};
-  EXPECT_EQ(eval_packed(CellType::kAnd2, in2, 2) & 0xF, 0b1000u);
-  EXPECT_EQ(eval_packed(CellType::kOr2, in2, 2) & 0xF, 0b1110u);
-  EXPECT_EQ(eval_packed(CellType::kNand2, in2, 2) & 0xF, 0b0111u);
-  EXPECT_EQ(eval_packed(CellType::kNor2, in2, 2) & 0xF, 0b0001u);
-  EXPECT_EQ(eval_packed(CellType::kXor2, in2, 2) & 0xF, 0b0110u);
-  EXPECT_EQ(eval_packed(CellType::kXnor2, in2, 2) & 0xF, 0b1001u);
+  EXPECT_EQ(eval(CellType::kAnd2, in2, 2) & 0xF, 0b1000u);
+  EXPECT_EQ(eval(CellType::kOr2, in2, 2) & 0xF, 0b1110u);
+  EXPECT_EQ(eval(CellType::kNand2, in2, 2) & 0xF, 0b0111u);
+  EXPECT_EQ(eval(CellType::kNor2, in2, 2) & 0xF, 0b0001u);
+  EXPECT_EQ(eval(CellType::kXor2, in2, 2) & 0xF, 0b0110u);
+  EXPECT_EQ(eval(CellType::kXnor2, in2, 2) & 0xF, 0b1001u);
   std::uint64_t in1[] = {a};
-  EXPECT_EQ(eval_packed(CellType::kBuf, in1, 1) & 0xF, a);
-  EXPECT_EQ(eval_packed(CellType::kNot, in1, 1) & 0xF, 0b0011u);
+  EXPECT_EQ(eval(CellType::kBuf, in1, 1) & 0xF, a);
+  EXPECT_EQ(eval(CellType::kNot, in1, 1) & 0xF, 0b0011u);
   // MUX: inputs {A, B, S}; S=1 selects B. Per lane: (S&B) | (~S&A).
   std::uint64_t in3[] = {a, b, 0b0101};
-  EXPECT_EQ(eval_packed(CellType::kMux2, in3, 3) & 0xF,
+  EXPECT_EQ(eval(CellType::kMux2, in3, 3) & 0xF,
             ((0b0101u & b) | (~0b0101u & a)) & 0xF);
-  EXPECT_EQ(eval_packed<std::uint64_t>(CellType::kTie0, nullptr, 0), 0u);
-  EXPECT_EQ(eval_packed<std::uint64_t>(CellType::kTie1, nullptr, 0), ~0ULL);
+  EXPECT_EQ(eval(CellType::kTie0, nullptr, 0), 0u);
+  EXPECT_EQ(eval(CellType::kTie1, nullptr, 0), ~0ULL);
 }
 
 TEST(Netlist, BuildAndQuery) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "util/bits.hpp"
+#include "lane_transpose.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
