@@ -10,7 +10,11 @@
 // (cells evaluated / cells a sweep would have evaluated), and the
 // speedup, cross-checks that both kernels detect the bit-identical fault
 // set, and writes BENCH_kernel.json for the perf trajectory. CI runs it
-// as a smoke test.
+// as a smoke test. Every batch passes the reference trace, so the
+// default "event" kernel (event-driven with incremental clocking) runs
+// in trace-replay mode with lane dropping, while "sweep" and
+// "event + full latch" run the absolute kernel: each cross-check is
+// replay against an absolute oracle.
 #include <benchmark/benchmark.h>
 
 #include <chrono>

@@ -6,22 +6,24 @@
 //     TDF) universe through the campaign orchestrator, on a pluggable
 //     shard executor:
 //       --executor inproc|subprocess   shard backend (default inproc)
-//       --workers N          subprocess worker processes (default 2)
+//       --workers N          subprocess worker processes (default 2,
+//                            at most 256)
 //       --shard-timeout S    per-shard liveness deadline in seconds for
 //                            the subprocess fleet (0 = derive from
 //                            profiled shard times with a generous floor)
 //       --max-respawns N     fleet-wide respawn budget for crashed
-//                            workers (default 8)
+//                            workers (default 8, at most 1024)
 //       --min-workers N      degrade to in-process grading when fewer
 //                            workers remain live or respawnable
-//                            (default 1)
+//                            (default 1, at most 256)
 //       --chaos SPEC         forward a deterministic fault-injection spec
 //                            (<seed>:crash|stall|trunc[@N][:all]) to the
 //                            spawned workers — the recovery-path smoke
 //       --programs N         grade only the first N suite programs
 //       --limit N            grade only the first N eligible faults per
 //                            test (the CI smoke slice; 0 = all)
-//       --threads N          in-process worker threads (0 = all cores)
+//       --threads N          in-process worker threads (0 = all cores,
+//                            at most 256)
 //       --lanes W            packed kernel width: 64, 128, or 256
 //                            (default: the widest this build has — 256
 //                            with GCC/Clang vector extensions, else 64);
@@ -89,7 +91,8 @@
 //                          test + random + PODEM patterns) through the
 //                          parallel campaign orchestrator; needs scan
 //                          chains ("scan_en"/"scan_in*"/"scan_out*" ports)
-//     --threads N          orchestrator worker threads (0 = all cores)
+//     --threads N          orchestrator worker threads (0 = all cores,
+//                          at most 256)
 //     --schedule P         batch-formation policy for --campaign and
 //                          --dump-schedule: default | cone | adaptive
 //                          (adaptive has no profile here, so it plans
@@ -99,6 +102,10 @@
 //                          stats) as JSON for offline inspection
 //     --trace FILE         campaign span trace (see --sbst above)
 //     --metrics FILE       campaign metrics export (see --sbst above)
+//
+//   olfui_cli --help | -h
+//     Prints the usage summary to stdout and exits 0. A malformed or
+//     out-of-range option prints it to stderr and exits 2.
 //
 // Example:
 //   olfui_cli periph.v --tie test_mode=0 --unobserve dbg_tap --csv out.csv
@@ -134,8 +141,15 @@ namespace {
 
 using namespace olfui;
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
+/// Caps on the count options: each counts threads, processes or respawns,
+/// so an absurd value is a typo, never a request to honour.
+constexpr std::uint64_t kMaxWorkers = 256;  // threads or worker processes
+constexpr std::uint64_t kMaxRespawns = 1024;
+
+/// Prints the usage summary and exits: to stdout with status 0 for
+/// --help, else to stderr with status 2.
+[[noreturn]] void usage(const char* argv0, bool help = false) {
+  std::fprintf(help ? stdout : stderr,
                "usage: %s <netlist.v> [--tie NET=0|1] [--unobserve PORT] "
                "[--memmap BASE:SIZE] [--model sa|tdf] [--csv FILE] "
                "[--json FILE] [--sweep] [--campaign] [--threads N] "
@@ -149,9 +163,22 @@ using namespace olfui;
                "[--cache-dir DIR] [--seed-from FILE] [--diff-nets A,B,..] "
                "[--json FILE] [--json-no-stats FILE] [--trace FILE] "
                "[--metrics FILE] [--progress]\n"
-               "       %s --worker [--chaos SPEC]\n",
-               argv0, argv0, argv0);
-  std::exit(2);
+               "       %s --worker [--chaos SPEC]\n"
+               "       %s --help\n"
+               "counts: --threads, --workers and --min-workers at most %d, "
+               "--max-respawns at most %d\n",
+               argv0, argv0, argv0, argv0, static_cast<int>(kMaxWorkers),
+               static_cast<int>(kMaxRespawns));
+  std::exit(help ? 0 : 2);
+}
+
+/// Parses a count option's value; a non-number or a value above `max` is
+/// a usage error.
+int parse_count(const char* argv0, const std::string& text,
+                std::uint64_t max) {
+  const auto n = parse_uint(text);
+  if (!n || *n > max) usage(argv0);
+  return static_cast<int>(*n);
 }
 
 std::string read_file(const std::string& path) {
@@ -347,12 +374,17 @@ int run_sbst_mode(int argc, char** argv) {
       if (!n) usage(argv[0]);
       return static_cast<std::size_t>(*n);
     };
-    if (arg == "--executor") {
+    const auto next_count = [&](std::uint64_t max) {
+      return parse_count(argv[0], next(), max);
+    };
+    if (arg == "--help" || arg == "-h") {
+      usage(argv[0], true);
+    } else if (arg == "--executor") {
       const std::string kind = next();
       if (kind == "subprocess") subprocess = true;
       else if (kind != "inproc") usage(argv[0]);
     } else if (arg == "--workers") {
-      workers = static_cast<int>(next_uint());
+      workers = next_count(kMaxWorkers);
     } else if (arg == "--shard-timeout") {
       char* end = nullptr;
       const std::string text = next();
@@ -360,9 +392,9 @@ int run_sbst_mode(int argc, char** argv) {
       if (end != text.c_str() + text.size() || shard_timeout < 0)
         usage(argv[0]);
     } else if (arg == "--max-respawns") {
-      fleet.max_respawns = static_cast<int>(next_uint());
+      fleet.max_respawns = next_count(kMaxRespawns);
     } else if (arg == "--min-workers") {
-      fleet.min_workers = static_cast<int>(next_uint());
+      fleet.min_workers = next_count(kMaxWorkers);
     } else if (arg == "--chaos") {
       chaos_spec = next();
       try {
@@ -376,9 +408,9 @@ int run_sbst_mode(int argc, char** argv) {
     } else if (arg == "--limit") {
       limit = next_uint();
     } else if (arg == "--threads") {
-      threads = static_cast<int>(next_uint());
+      threads = next_count(kMaxWorkers);
     } else if (arg == "--lanes") {
-      lanes = static_cast<int>(next_uint());
+      lanes = next_count(kMaxLaneWidth);
       if (lanes != 64 && lanes != 128 && lanes != 256) usage(argv[0]);
     } else if (arg == "--clocking") {
       const std::string mode = next();
@@ -552,6 +584,8 @@ int run_sbst_mode(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc < 2) usage(argv[0]);
+  if (std::strcmp(argv[1], "--help") == 0 || std::strcmp(argv[1], "-h") == 0)
+    usage(argv[0], true);
   if (std::strcmp(argv[1], "--worker") == 0)
     return run_worker_mode(argc, argv);
   if (std::strcmp(argv[1], "--sbst") == 0) return run_sbst_mode(argc, argv);
@@ -570,7 +604,9 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    if (arg == "--tie") {
+    if (arg == "--help" || arg == "-h") {
+      usage(argv[0], true);
+    } else if (arg == "--tie") {
       const std::string spec = next();
       const auto eq = spec.find('=');
       if (eq == std::string::npos || eq + 1 >= spec.size()) usage(argv[0]);
@@ -598,9 +634,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--campaign") {
       campaign = true;
     } else if (arg == "--threads") {
-      const auto n = parse_uint(next());
-      if (!n) usage(argv[0]);
-      threads = static_cast<int>(*n);
+      threads = parse_count(argv[0], next(), kMaxWorkers);
     } else if (arg == "--schedule") {
       schedule = next();
       if (schedule != "default" && schedule != "cone" && schedule != "adaptive")

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 
 #include "util/strings.hpp"
 
@@ -137,6 +138,18 @@ SocFsimEnvironmentT<W>::SocFsimEnvironmentT(const Soc& soc,
   bwr_cell_ = nl.find_output("bwr_o");
   brd_cell_ = nl.find_output("brd_o");
   halted_cell_ = nl.find_output("halted_o");
+  // step() reads the bus before its single eval, which is exact only for
+  // ports whose value is fixed at the clock edge.
+  std::vector<CellId> ports = {bwr_cell_, brd_cell_, halted_cell_};
+  for (const auto* group : {&iaddr_cells_, &baddr_cells_, &bwdata_cells_})
+    ports.insert(ports.end(), group->begin(), group->end());
+  for (const CellId port : ports) {
+    const CellId driver = nl.net(nl.cell(port).ins[0]).driver;
+    if (driver == kInvalidId || !is_sequential(nl.cell(driver).type))
+      throw std::invalid_argument("SocFsimEnvironment: bus port '" +
+                                  nl.cell(port).name +
+                                  "' is not driven by a flop");
+  }
 }
 
 template <int W>
@@ -250,15 +263,15 @@ void SocFsimEnvironmentT<W>::reset(PackedSimT<W>& sim) {
 template <int W>
 bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
   if (cycle >= run_cycles_ || halt_seen_) return false;
+  // Every bus port is flop-driven (checked at construction), so the whole
+  // cycle's stimulus is known before its one eval.
   drive_mission_inputs(sim, true);
-  sim.eval();
   // Instruction fetch: a faulty machine that wanders to a wrong address
   // fetches whatever the flash holds there (NOP outside).
   read_bus(sim, iaddr_cells_, iaddr_);
   drive_bus(sim, soc_->cpu.instr_in, flash_->read(iaddr_.good),
             iaddr_.diverged,
             [&](int lane) { return flash_->read(iaddr_.lane_value(lane)); });
-  sim.eval();
 
   // Bus transactions.
   read_bus(sim, baddr_cells_, baddr_);

@@ -115,6 +115,11 @@ class SocSimulator {
 /// before that cycle's writes. A lane that never diverges therefore holds
 /// exactly lane 0's RAM, so the per-lane results are those of W separate
 /// memories.
+///
+/// Each step drives the whole cycle's stimulus from flop-driven bus ports
+/// and then evaluates once (the FsimEnvironmentT contract trace replay
+/// relies on); the constructor throws std::invalid_argument if any bus
+/// port the environment reads is not driven directly by a flop.
 template <int W>
 class SocFsimEnvironmentT : public FsimEnvironmentT<W> {
  public:

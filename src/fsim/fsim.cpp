@@ -9,95 +9,6 @@
 
 namespace olfui {
 
-bool ReferenceTrace::net_bit(int cycle, NetId net) const {
-  const Column& col = columns[net / 64];
-  // Last run starting at or before `cycle` (the first run starts at 0).
-  const auto it = std::upper_bound(col.cycle.begin(), col.cycle.end(),
-                                   static_cast<std::uint32_t>(cycle));
-  const std::size_t r = static_cast<std::size_t>(it - col.cycle.begin()) - 1;
-  return (col.value[r] >> (net % 64)) & 1ULL;
-}
-
-void ReferenceTrace::net_history(NetId net,
-                                 std::vector<std::uint64_t>& packed) const {
-  const std::size_t n = static_cast<std::size_t>(cycles);
-  packed.assign((n + 63) / 64, 0);
-  const Column& col = columns[net / 64];
-  const int bit = static_cast<int>(net % 64);
-  for (std::size_t r = 0; r < col.cycle.size(); ++r) {
-    if (!((col.value[r] >> bit) & 1ULL)) continue;
-    const std::size_t hi = r + 1 < col.cycle.size() ? col.cycle[r + 1] : n;
-    for (std::size_t c = col.cycle[r]; c < hi; ++c)
-      packed[c / 64] |= 1ULL << (c % 64);
-  }
-}
-
-void ReferenceTrace::reset(std::size_t nets) {
-  cycles = 0;
-  num_nets = nets;
-  columns.assign((nets + 63) / 64, {});
-}
-
-void ReferenceTrace::append_cycle(const std::uint64_t* words) {
-  for (std::size_t o = 0; o < columns.size(); ++o) {
-    Column& col = columns[o];
-    if (col.value.empty() || col.value.back() != words[o]) {
-      col.cycle.push_back(static_cast<std::uint32_t>(cycles));
-      col.value.push_back(words[o]);
-    }
-  }
-  ++cycles;
-}
-
-void ReferenceTrace::validate() const {
-  if (cycles < 0) throw std::runtime_error("ReferenceTrace: negative cycles");
-  if (columns.size() != (num_nets + 63) / 64)
-    throw std::runtime_error("ReferenceTrace: column count mismatch");
-  for (const Column& col : columns) {
-    if (col.cycle.size() != col.value.size())
-      throw std::runtime_error("ReferenceTrace: run arrays disagree");
-    if (cycles == 0) {
-      if (!col.cycle.empty())
-        throw std::runtime_error("ReferenceTrace: runs in an empty trace");
-      continue;
-    }
-    if (col.cycle.empty() || col.cycle[0] != 0)
-      throw std::runtime_error("ReferenceTrace: first run must start at 0");
-    for (std::size_t r = 1; r < col.cycle.size(); ++r) {
-      if (col.cycle[r] <= col.cycle[r - 1] ||
-          col.cycle[r] >= static_cast<std::uint32_t>(cycles))
-        throw std::runtime_error(
-            "ReferenceTrace: run starts not increasing in range");
-    }
-  }
-}
-
-std::size_t ReferenceTrace::run_count() const {
-  std::size_t n = 0;
-  for (const Column& col : columns) n += col.value.size();
-  return n;
-}
-
-std::uint64_t ReferenceTrace::fingerprint() const {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(static_cast<std::uint64_t>(cycles));
-  mix(num_nets);
-  for (const Column& col : columns) {
-    mix(col.cycle.size());
-    for (std::size_t r = 0; r < col.cycle.size(); ++r) {
-      mix(col.cycle[r]);
-      mix(col.value[r]);
-    }
-  }
-  return h;
-}
-
 template <int W>
 SequentialFaultSimulatorT<W>::SequentialFaultSimulatorT(
     const Netlist& nl, const FaultUniverse& universe, SeqFsimOptions opts,
@@ -140,7 +51,7 @@ ReferenceTrace SequentialFaultSimulatorT<W>::record_reference_trace(
     for (NetId n = 0; n < nets; ++n)
       words[n / 64] |= (word_of(sim_.value(n), 0) & 1ULL) << (n % 64);
     trace.append_cycle(words.data());
-    sim_.clock();
+    sim_.latch();
   }
   return trace;
 }
@@ -214,6 +125,7 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
 
   sim_.power_on();
   env.reset(sim_);
+  const bool replay = begin_replay(trace);
 
   const int bound = trace ? trace->cycles : opts_.max_cycles;
   Word diverged{};
@@ -222,7 +134,8 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
     observe_divergence(cycle, trace, diverged);
     diverged &= fault_lanes;
     if (opts_.early_exit && !lane_neq(diverged, fault_lanes)) break;
-    sim_.clock();
+    if (replay) sim_.drop_lanes(diverged);
+    sim_.latch();
   }
   publish_activity();
   return unpack_detected(diverged, faults.size());
@@ -271,7 +184,7 @@ LaneMask SequentialFaultSimulatorT<W>::run_tdf_batch(
       for (std::size_t i = 0; i < faults.size(); ++i)
         if (word_of(sim_.value(site[i]), 0) & 1ULL) w.set_bit(i);
       site_good.push_back(w);
-      sim_.clock();
+      sim_.latch();
     }
   }
   const int cycles = static_cast<int>(site_good.size());
@@ -289,6 +202,7 @@ LaneMask SequentialFaultSimulatorT<W>::run_tdf_batch(
   }
   sim_.power_on();
   env.reset(sim_);
+  const bool replay = begin_replay(trace);
 
   Word diverged{};
   for (int cycle = 0; cycle < cycles; ++cycle) {
@@ -309,10 +223,20 @@ LaneMask SequentialFaultSimulatorT<W>::run_tdf_batch(
     observe_divergence(cycle, trace, diverged);
     diverged &= fault_lanes;
     if (opts_.early_exit && !lane_neq(diverged, fault_lanes)) break;
-    sim_.clock();
+    if (replay) sim_.drop_lanes(diverged);
+    sim_.latch();
   }
   publish_activity();
   return unpack_detected(diverged, faults.size());
+}
+
+template <int W>
+bool SequentialFaultSimulatorT<W>::begin_replay(const ReferenceTrace* trace) {
+  if (!trace || !opts_.event_driven || !opts_.incremental_clocking ||
+      trace->cycles == 0)
+    return false;
+  sim_.begin_replay(*trace);
+  return true;
 }
 
 template <int W>
@@ -340,6 +264,10 @@ void SequentialFaultSimulatorT<W>::publish_activity() {
       .add(a.flops_latched - base.flops_latched);
   obs::metrics().counter("kernel.flops_skipped")
       .add(a.flops_skipped - base.flops_skipped);
+  obs::metrics().counter("kernel.good_applied")
+      .add(a.good_applied - base.good_applied);
+  obs::metrics().counter("kernel.lanes_dropped")
+      .add(a.lanes_dropped - base.lanes_dropped);
   base = a;
 }
 

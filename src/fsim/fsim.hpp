@@ -12,7 +12,12 @@
 //    obtained by only observing the system bus").
 //    The environment callback makes stimuli reactive: the memory model
 //    answers per-lane, so a faulty machine that issues a wrong address
-//    reads wrong data, exactly as on silicon.
+//    reads wrong data, exactly as on silicon. Given the test's recorded
+//    good machine (ReferenceTrace), a batch runs as concurrent fault
+//    simulation instead: the kernel replays the trace for every net the
+//    faults have not reached and drops each lane once its fault is
+//    detected (trace replay, sim/packed.hpp); the full simulation of
+//    every lane stays as the oracle it must match.
 //
 //  * parallel-pattern combinational simulation (PPSF) — 64 patterns per
 //    pass for one fault; used for ATPG validation and property tests.
@@ -33,17 +38,22 @@
 
 namespace olfui {
 
-/// Drives the design-under-test's inputs each cycle. Implementations may
-/// call sim.eval() internally (e.g. to serve combinational memory reads
-/// that depend on freshly computed addresses).
+/// Drives the design-under-test's inputs each cycle. The simulator
+/// latches between steps without settling (PackedSimT::latch), so every
+/// step calls sim.eval() exactly once, after driving all of the cycle's
+/// inputs: under trace replay a second eval throws. A stimulus that
+/// depends on the design's outputs (a memory answering an address) must
+/// read flop-driven ports, which are current before that eval.
 template <int W>
 class FsimEnvironmentT {
  public:
   virtual ~FsimEnvironmentT() = default;
-  /// Called once per batch after power_on(); applies the reset sequence.
+  /// Called once per batch after power_on(); applies the reset sequence
+  /// (free to eval and clock as it likes) and leaves the logic settled.
   virtual void reset(PackedSimT<W>& sim) = 0;
-  /// Drives inputs for one cycle and settles the logic. Returns false to
-  /// end the run early (e.g. the good machine executed HALT).
+  /// Drives inputs for one cycle and settles the logic with one eval().
+  /// Returns false, without evaluating, to end the run early (e.g. the
+  /// good machine executed HALT).
   virtual bool step(PackedSimT<W>& sim, int cycle) = 0;
 };
 
@@ -67,63 +77,6 @@ struct SeqFsimOptions {
   /// build's fallback rule). Detection sets are bit-identical at every
   /// width.
   int lanes = 64;
-};
-
-/// Checkpoint of one fault-free run: the executed cycle count plus the
-/// per-cycle lane-0 value of EVERY net. A campaign records the good
-/// machine once per test program; every batch of every worker then reads
-/// its reference from the checkpoint instead of re-deriving good values —
-/// the stuck-at path replays the observed-output columns, the TDF path
-/// reads each fault site's launch schedule straight out of the trace
-/// (eliminating the per-batch good-machine pass 1), and an incremental
-/// re-grade can diff any net's history against a previous run.
-///
-/// Storage is column-oriented RLE: nets are packed 64 to a word column,
-/// and each column stores (start cycle, word value) runs — a cycle that
-/// changes none of a column's nets appends nothing, so the trace grows
-/// with bus activity, not with cycles * nets. (A positional RLE over the
-/// concatenated per-cycle words — what the old observed-only GoodTrace
-/// used — degenerates once a cycle spans hundreds of words: an unchanged
-/// cycle still re-emits every distinct adjacent word.)
-struct ReferenceTrace {
-  /// One 64-net word column: run r holds `value[r]` from `cycle[r]` until
-  /// the next run's start (or the end of the trace).
-  struct Column {
-    std::vector<std::uint32_t> cycle;  ///< run starts, increasing, first 0
-    std::vector<std::uint64_t> value;
-  };
-
-  int cycles = 0;
-  std::size_t num_nets = 0;
-  std::vector<Column> columns;  ///< ceil(num_nets / 64)
-
-  /// Lane-0 value of `net` during `cycle` (binary search in the column).
-  bool net_bit(int cycle, NetId net) const;
-
-  /// One net's whole history, packed by cycle (bit c of packed[c / 64]).
-  /// Walks the net's column once — the bulk form every per-batch consumer
-  /// uses instead of per-cycle net_bit() scans.
-  void net_history(NetId net, std::vector<std::uint64_t>& packed) const;
-
-  /// Clears and sizes the columns for a netlist with `nets` nets.
-  void reset(std::size_t nets);
-  /// Appends one cycle's net words (columns.size() of them). Cycles must
-  /// be appended in order; increments `cycles`.
-  void append_cycle(const std::uint64_t* words);
-  /// Checks the column invariants (after deserialization). Throws
-  /// std::runtime_error on malformed runs.
-  void validate() const;
-
-  /// Total stored runs across all columns (the compression measure).
-  std::size_t run_count() const;
-
-  /// Order-sensitive FNV-1a over the shape and every run: equal
-  /// fingerprints mean bit-identical checkpoints. Subprocess campaign
-  /// workers rebuild their reference traces from the netlist and hash
-  /// them, so the coordinator can reject a worker whose rebuilt state
-  /// drifted (wrong SoC configuration, different program) instead of
-  /// merging garbage masks — see campaign/executor.hpp.
-  std::uint64_t fingerprint() const;
 };
 
 template <int W>
@@ -157,6 +110,12 @@ class SequentialFaultSimulatorT {
   /// the checkpoint's cycle count. The trace must stay alive (and
   /// unmodified) across the batches that pass it: the simulator caches
   /// per-observed-output history columns keyed on the trace pointer.
+  /// With a trace and the default kernel options (event-driven,
+  /// incremental clocking) the batch runs in trace-replay mode: only the
+  /// faulty machines' divergence from the trace is simulated, and each
+  /// lane is dropped once its fault is detected (PackedSimT::begin_replay).
+  /// Without a trace, or with either oracle option, every lane is
+  /// simulated in full — the absolute kernel that replay must match.
   LaneMask run_batch(std::span<const FaultId> faults, Environment& env,
                      const ReferenceTrace* trace = nullptr);
 
@@ -204,6 +163,9 @@ class SequentialFaultSimulatorT {
   /// loops so the two models can never drift on observation semantics.
   void observe_divergence(int cycle, const ReferenceTrace* trace,
                           Word& diverged) const;
+  /// Enters replay for a batch when `trace` is given and the options
+  /// select the default kernel; returns whether it did.
+  bool begin_replay(const ReferenceTrace* trace);
   /// Repacks per-lane divergence (lane i+1 = faults[i]) into per-fault bits.
   static LaneMask unpack_detected(const Word& diverged, std::size_t n);
   /// Extracts each observed output's history column from `trace` once per

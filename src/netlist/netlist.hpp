@@ -92,8 +92,9 @@ class Netlist {
 
   void connect_input(CellId cell, int input_pin, NetId net);
 
-  /// Rewires input pin `pin` (>=1) of `cell` from its current net to
-  /// `new_net`, updating both fanout lists. Used by the scan / debug
+  /// Rewires input `input_pin` of `cell` (an index into its ins, so pin
+  /// input_pin + 1) from its current net to `new_net`, updating both
+  /// fanout lists. Used by the scan / debug
   /// insertion passes.
   void rewire_input(CellId cell, int input_pin, NetId new_net);
 

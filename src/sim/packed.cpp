@@ -97,6 +97,13 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
   for (std::size_t fi = 0; fi < topo->flop_cells.size(); ++fi)
     for (const NetId in : nl.cell(topo->flop_cells[fi]).ins)
       topo->flop_fanout[fcursor[in]++] = static_cast<std::uint32_t>(fi);
+
+  topo->net_slot.assign(nl.num_nets(), kInvalidId);
+  for (std::size_t i = 0; i < topo->order.size(); ++i)
+    topo->net_slot[topo->order[i].out] = static_cast<std::uint32_t>(i);
+  for (std::size_t fi = 0; fi < topo->flop_cells.size(); ++fi)
+    topo->net_slot[nl.cell(topo->flop_cells[fi]).out] =
+        static_cast<std::uint32_t>(topo->order.size() + fi);
   return topo;
 }
 
@@ -159,6 +166,95 @@ ConeSig changed_net_signature(const ConeAnalysis& cones, const Netlist& nl,
   return diff;
 }
 
+bool ReferenceTrace::net_bit(int cycle, NetId net) const {
+  const Column& col = columns[net / 64];
+  // Last run starting at or before `cycle` (the first run starts at 0).
+  const auto it = std::upper_bound(col.cycle.begin(), col.cycle.end(),
+                                   static_cast<std::uint32_t>(cycle));
+  const std::size_t r = static_cast<std::size_t>(it - col.cycle.begin()) - 1;
+  return (col.value[r] >> (net % 64)) & 1ULL;
+}
+
+void ReferenceTrace::net_history(NetId net,
+                                 std::vector<std::uint64_t>& packed) const {
+  const std::size_t n = static_cast<std::size_t>(cycles);
+  packed.assign((n + 63) / 64, 0);
+  const Column& col = columns[net / 64];
+  const int bit = static_cast<int>(net % 64);
+  for (std::size_t r = 0; r < col.cycle.size(); ++r) {
+    if (!((col.value[r] >> bit) & 1ULL)) continue;
+    const std::size_t hi = r + 1 < col.cycle.size() ? col.cycle[r + 1] : n;
+    for (std::size_t c = col.cycle[r]; c < hi; ++c)
+      packed[c / 64] |= 1ULL << (c % 64);
+  }
+}
+
+void ReferenceTrace::reset(std::size_t nets) {
+  cycles = 0;
+  num_nets = nets;
+  columns.assign((nets + 63) / 64, {});
+}
+
+void ReferenceTrace::append_cycle(const std::uint64_t* words) {
+  for (std::size_t o = 0; o < columns.size(); ++o) {
+    Column& col = columns[o];
+    if (col.value.empty() || col.value.back() != words[o]) {
+      col.cycle.push_back(static_cast<std::uint32_t>(cycles));
+      col.value.push_back(words[o]);
+    }
+  }
+  ++cycles;
+}
+
+void ReferenceTrace::validate() const {
+  if (cycles < 0) throw std::runtime_error("ReferenceTrace: negative cycles");
+  if (columns.size() != (num_nets + 63) / 64)
+    throw std::runtime_error("ReferenceTrace: column count mismatch");
+  for (const Column& col : columns) {
+    if (col.cycle.size() != col.value.size())
+      throw std::runtime_error("ReferenceTrace: run arrays disagree");
+    if (cycles == 0) {
+      if (!col.cycle.empty())
+        throw std::runtime_error("ReferenceTrace: runs in an empty trace");
+      continue;
+    }
+    if (col.cycle.empty() || col.cycle[0] != 0)
+      throw std::runtime_error("ReferenceTrace: first run must start at 0");
+    for (std::size_t r = 1; r < col.cycle.size(); ++r) {
+      if (col.cycle[r] <= col.cycle[r - 1] ||
+          col.cycle[r] >= static_cast<std::uint32_t>(cycles))
+        throw std::runtime_error(
+            "ReferenceTrace: run starts not increasing in range");
+    }
+  }
+}
+
+std::size_t ReferenceTrace::run_count() const {
+  std::size_t n = 0;
+  for (const Column& col : columns) n += col.value.size();
+  return n;
+}
+
+std::uint64_t ReferenceTrace::fingerprint() const {
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(static_cast<std::uint64_t>(cycles));
+  mix(num_nets);
+  for (const Column& col : columns) {
+    mix(col.cycle.size());
+    for (std::size_t r = 0; r < col.cycle.size(); ++r) {
+      mix(col.cycle[r]);
+      mix(col.value[r]);
+    }
+  }
+  return h;
+}
+
 template <int W>
 PackedSimT<W>::PackedSimT(const Netlist& nl)
     : PackedSimT(PackedTopology::build(nl)) {}
@@ -187,10 +283,13 @@ void PackedSimT<W>::clear_injections() {
   std::fill(has_inj_.begin(), has_inj_.end(), 0);
   inj_dirty_ = false;
   needs_full_ = true;
+  replay_ = nullptr;
 }
 
 template <int W>
 void PackedSimT<W>::add_injection(const Injection& inj) {
+  if (replay_)
+    throw std::logic_error("PackedSim: add_injection during trace replay");
   inj_pos_.push_back(static_cast<std::uint32_t>(inj_flat_.size()));
   inj_flat_.push_back(inj);
   inj_dirty_ = true;
@@ -208,8 +307,13 @@ void PackedSimT<W>::set_injection_lanes(std::size_t index,
   // from scratch, so nothing is stale.
   if (needs_full_ || inj_dirty_ || mode_ == PackedEvalMode::kFullSweep) return;
   const Cell& c = topo_->nl->cell(inj.cell);
-  if (topo_->order_index[inj.cell] != kInvalidId)
-    return;  // combinational: permanently event-active, next eval recomputes
+  const std::uint32_t oi = topo_->order_index[inj.cell];
+  if (oi != kInvalidId) {
+    // Combinational: permanently event-active outside replay; replay
+    // schedules an injected cell only on demand, so schedule it here.
+    if (replay_) push_event(oi);
+    return;
+  }
   switch (c.type) {
     case CellType::kOutput:
       return;  // applied live at observed()
@@ -224,10 +328,7 @@ void PackedSimT<W>::set_injection_lanes(std::size_t index,
     // flop: re-apply injections over the latched state and seed fanout.
     Word v = flop_state_[inj.cell];
     apply_inj(inj.cell, nullptr, &v);
-    if (lane_neq(v, values_[c.out])) {
-      values_[c.out] = v;
-      propagate_change(c.out);
-    }
+    write_net(c.out, v);
     return;
   }
   // Ties (and any future source kind) are not re-scanned per eval; fall
@@ -281,6 +382,7 @@ void PackedSimT<W>::power_on() {
   std::fill(input_hold_.begin(), input_hold_.end(), Word{});
   needs_full_ = true;
   all_flops_dirty_ = true;
+  replay_ = nullptr;
 }
 
 template <int W>
@@ -373,13 +475,169 @@ void PackedSimT<W>::mark_flop_dirty(std::uint32_t flop_idx) {
 }
 
 template <int W>
-void PackedSimT<W>::propagate_change(NetId net) {
+bool PackedSimT<W>::write_net(NetId net, const Word& v) {
+  if (replay_) return replay_write(net, v);
+  if (!lane_neq(v, values_[net])) return false;
+  values_[net] = v;
   const PackedTopology& t = *topo_;
   for (std::uint32_t j = t.fanout_start[net]; j < t.fanout_start[net + 1]; ++j)
     push_event(t.fanout[j]);
   for (std::uint32_t j = t.flop_fanout_start[net];
        j < t.flop_fanout_start[net + 1]; ++j)
     mark_flop_dirty(t.flop_fanout[j]);
+  return true;
+}
+
+template <int W>
+bool PackedSimT<W>::replay_write(NetId net, const Word& v) {
+  Word& cur = values_[net];
+  const bool changed = lane_any((v ^ cur) & live_);
+  cur = v;
+  if (!changed) return false;
+  // A clean reader's output follows the trace, so it needs evaluating
+  // only when this net's divergence flips (making it dirty, or clean
+  // again, which re-converges its output to the good value).
+  const bool div = diverges(v);
+  const bool flip = div != (div_pos_[net] != kInvalidId);
+  if (flip) set_divergent(net, div);
+  const PackedTopology& t = *topo_;
+  for (std::uint32_t j = t.fanout_start[net]; j < t.fanout_start[net + 1]; ++j) {
+    const std::uint32_t k = t.fanout[j];
+    if (flip) dirty_count_[k] += div ? 1 : -1;
+    if (flip || dirty_count_[k]) push_event(k);
+  }
+  const std::uint32_t flop_base = static_cast<std::uint32_t>(t.order.size());
+  for (std::uint32_t j = t.flop_fanout_start[net];
+       j < t.flop_fanout_start[net + 1]; ++j) {
+    const std::uint32_t fi = t.flop_fanout[j];
+    if (flip) dirty_count_[flop_base + fi] += div ? 1 : -1;
+    if (flip || dirty_count_[flop_base + fi]) mark_flop_dirty(fi);
+  }
+  return true;
+}
+
+template <int W>
+bool PackedSimT<W>::diverges(const Word& v) const {
+  const Word good = lane_test(v, 0) ? kAllLanes<Word> : Word{};
+  return lane_any((v ^ good) & live_);
+}
+
+template <int W>
+void PackedSimT<W>::set_divergent(NetId net, bool div) {
+  if (div) {
+    div_pos_[net] = static_cast<std::uint32_t>(div_nets_.size());
+    div_nets_.push_back(net);
+    return;
+  }
+  const std::uint32_t pos = div_pos_[net];
+  const NetId last = div_nets_.back();
+  div_nets_[pos] = last;
+  div_pos_[last] = pos;
+  div_nets_.pop_back();
+  div_pos_[net] = kInvalidId;
+}
+
+template <int W>
+void PackedSimT<W>::rebuild_divergence() {
+  const PackedTopology& t = *topo_;
+  const std::size_t flop_base = t.order.size();
+  dirty_count_.assign(flop_base + t.flop_cells.size(), 0);
+  for (const std::uint32_t k : active_comb_) dirty_count_[k] = 1;
+  for (const std::uint32_t fi : active_flops_) dirty_count_[flop_base + fi] = 1;
+  div_pos_.assign(values_.size(), kInvalidId);
+  div_nets_.clear();
+  for (NetId n = 0; n < values_.size(); ++n) {
+    if (!diverges(values_[n])) continue;
+    set_divergent(n, true);
+    count_readers(n, 1);
+  }
+}
+
+template <int W>
+void PackedSimT<W>::count_readers(NetId net, int delta) {
+  const PackedTopology& t = *topo_;
+  for (std::uint32_t j = t.fanout_start[net]; j < t.fanout_start[net + 1]; ++j)
+    dirty_count_[t.fanout[j]] += delta;
+  const std::size_t flop_base = t.order.size();
+  for (std::uint32_t j = t.flop_fanout_start[net];
+       j < t.flop_fanout_start[net + 1]; ++j)
+    dirty_count_[flop_base + t.flop_fanout[j]] += delta;
+}
+
+template <int W>
+void PackedSimT<W>::begin_replay(const ReferenceTrace& trace) {
+  if (mode_ != PackedEvalMode::kEventDriven ||
+      clock_mode_ != PackedClockMode::kIncremental)
+    throw std::logic_error(
+        "PackedSim: replay needs the event-driven, incremental kernel");
+  if (trace.num_nets != values_.size() ||
+      trace.columns.size() != (values_.size() + 63) / 64 || trace.cycles <= 0)
+    throw std::invalid_argument(
+        "PackedSim: reference trace does not fit this netlist");
+  if (inj_dirty_) prepare_injections();
+  if (needs_full_) run_full_sweep();
+  replay_ = &trace;
+  replay_cycle_ = 0;
+  replay_settled_ = false;
+  live_ = kAllLanes<Word>;
+  rebuild_divergence();
+  // The cursor starts at the settled pre-replay state's good values, so
+  // the first application sets every clean net that differs in cycle 0.
+  run_cursor_.assign(trace.columns.size(), 0);
+  applied_.assign(trace.columns.size(), 0);
+  for (NetId n = 0; n < values_.size(); ++n)
+    if (lane_test(values_[n], 0)) applied_[n / 64] |= 1ULL << (n % 64);
+  apply_trace(0);
+}
+
+template <int W>
+void PackedSimT<W>::apply_trace(int cycle) {
+  if (cycle >= replay_->cycles) return;  // eval() refuses to run past it
+  const PackedTopology& t = *topo_;
+  const auto c = static_cast<std::uint32_t>(cycle);
+  for (std::size_t k = 0; k < replay_->columns.size(); ++k) {
+    const ReferenceTrace::Column& col = replay_->columns[k];
+    std::uint32_t r = run_cursor_[k];
+    while (r + 1 < col.cycle.size() && col.cycle[r + 1] <= c) ++r;
+    run_cursor_[k] = r;
+    std::uint64_t diff = applied_[k] ^ col.value[r];
+    applied_[k] = col.value[r];
+    for (; diff; diff &= diff - 1) {
+      const int bit = std::countr_zero(diff);
+      const NetId net = static_cast<NetId>(k * 64 + bit);
+      const std::uint32_t slot = t.net_slot[net];
+      // Sources are driven by the caller; a dirty driver is evaluated.
+      if (slot == kInvalidId || dirty_count_[slot]) continue;
+      write_net(net, (col.value[r] >> bit) & 1 ? kAllLanes<Word> : Word{});
+      ++activity_.good_applied;
+    }
+  }
+}
+
+template <int W>
+void PackedSimT<W>::drop_lanes(const Word& lanes) {
+  if (!replay_) return;
+  // Between latch() and eval() the trace has already been applied under
+  // the old cleanliness, which a drop would silently change.
+  if (!replay_settled_)
+    throw std::logic_error("PackedSim: drop_lanes between eval() and latch()");
+  Word good{};
+  set_lane(good, 0);
+  const Word dead = lanes & live_ & ~good;
+  if (!lane_any(dead)) return;
+  live_ &= ~dead;
+  for (int k = 0; k < static_cast<int>(sizeof(Word) / 8); ++k)
+    activity_.lanes_dropped += std::popcount(word_of(dead, k));
+  // Narrowing the live set can only clear divergence flags, and a value
+  // that stops diverging needs no re-evaluation: its readers' outputs
+  // were computed per lane and agree with the good machine on every
+  // remaining lane too.
+  for (std::size_t i = div_nets_.size(); i-- > 0;) {
+    const NetId n = div_nets_[i];
+    if (diverges(values_[n])) continue;
+    set_divergent(n, false);  // moves an already visited entry to i
+    count_readers(n, -1);
+  }
 }
 
 template <int W>
@@ -443,15 +701,13 @@ void PackedSimT<W>::run_event_sweep() {
   for (CellId id : t.input_cells) {
     Word v = input_hold_[id];
     if (has_inj_[id]) apply_inj(id, nullptr, &v);
-    const NetId out = t.nl->cell(id).out;
-    if (lane_neq(v, values_[out])) {
-      values_[out] = v;
-      propagate_change(out);
-    }
+    write_net(t.nl->cell(id).out, v);
   }
   // Injected cells are permanently active, so fault effects propagate even
-  // when no input event reaches them this eval.
-  for (std::uint32_t k : active_comb_) push_event(k);
+  // when no input event reaches them this eval. (Replay keeps them dirty
+  // instead: they are scheduled when an input changes or they re-arm.)
+  if (!replay_)
+    for (std::uint32_t k : active_comb_) push_event(k);
   // Drain the arena's level segments in ascending order. Every fanout edge
   // strictly increases the level, so a cell processed here cannot be
   // re-scheduled within the same eval, and a segment cannot grow while it
@@ -468,12 +724,7 @@ void PackedSimT<W>::run_event_sweep() {
       const PackedTopology::FlatCell& fc = t.order[k];
       Word out;
       compute_cell(fc, out);
-      if (lane_neq(out, values_[fc.out])) {
-        values_[fc.out] = out;
-        propagate_change(fc.out);
-      } else {
-        ++quiet;
-      }
+      if (!write_net(fc.out, out)) ++quiet;
     }
     level_count_[lvl] = 0;
     touched += n;
@@ -489,7 +740,22 @@ template <int W>
 void PackedSimT<W>::eval() {
   ++activity_.evals;
   if (inj_dirty_) prepare_injections();
-  if (mode_ == PackedEvalMode::kFullSweep || needs_full_) {
+  if (replay_) {
+    if (replay_settled_ || replay_cycle_ >= replay_->cycles)
+      throw std::logic_error(
+          "PackedSim: replay evaluates once per cycle, within the trace");
+    replay_settled_ = true;
+    if (needs_full_) {
+      // A re-armed source needs a full sweep, which exposes flop_state_:
+      // resync the clean flops replay left unlatched from their Q nets
+      // (exact on the live lanes; an injected flop latches every edge).
+      for (const CellId id : topo_->flop_cells)
+        if (!has_inj_[id]) flop_state_[id] = values_[topo_->nl->cell(id).out];
+      run_full_sweep();
+      rebuild_divergence();
+      return;
+    }
+  } else if (mode_ == PackedEvalMode::kFullSweep || needs_full_) {
     run_full_sweep();
     return;
   }
@@ -498,19 +764,32 @@ void PackedSimT<W>::eval() {
 
 template <int W>
 void PackedSimT<W>::full_eval() {
-  ++activity_.evals;
-  if (inj_dirty_) prepare_injections();
-  run_full_sweep();
+  needs_full_ = true;
+  eval();
 }
 
 template <int W>
-void PackedSimT<W>::clock() {
+void PackedSimT<W>::latch_flop(CellId id) {
+  const Cell& c = topo_->nl->cell(id);
+  Word tmp[4];
+  const int n = static_cast<int>(c.ins.size());
+  for (int i = 0; i < n; ++i) tmp[i] = values_[c.ins[i]];
+  if (has_inj_[id]) apply_inj(id, tmp, nullptr);
+  // DFF: q' = d. DFFR (active-low reset to 0): q' = d & rstn.
+  flop_state_[id] =
+      c.type == CellType::kDff ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
+}
+
+template <int W>
+void PackedSimT<W>::latch() {
   if (inj_dirty_) prepare_injections();
   const PackedTopology& t = *topo_;
-  Word tmp[4];
   const bool incremental = clock_mode_ == PackedClockMode::kIncremental &&
                            mode_ == PackedEvalMode::kEventDriven &&
                            !needs_full_ && !all_flops_dirty_;
+  // Pass 1 latches from the settled net values into flop_state_ (never
+  // read here, so flop-to-flop paths latch pre-edge values) and leaves
+  // the latched flop indexes in dirty_scratch_ for pass 2.
   if (incremental) {
     // Injected flops always latch: set_injection_lanes re-arms D/reset
     // faults without touching any net, so the latched value can change
@@ -520,71 +799,63 @@ void PackedSimT<W>::clock() {
     dirty_flops_.clear();
     // Bump BEFORE pass 2 so its change marks seed the NEXT edge.
     bump_flop_epoch();
-    // Pass 1: latch only the dirty flops. flop_state_ is never read here,
-    // so flop-to-flop paths latch pre-edge values; a skipped flop's D
-    // (and reset) words are unchanged since its last latch, so re-latching
-    // it would be a no-op.
+    // Latch only the dirty flops: a skipped flop's D (and reset) words
+    // are unchanged since its last latch, so re-latching it is a no-op.
+    // Replay also skips a clean flop whose Q agrees with the good machine:
+    // its next Q is the good one, which the trace supplies.
+    const std::size_t flop_base = t.order.size();
+    std::size_t m = 0;
     for (const std::uint32_t fi : dirty_scratch_) {
       const CellId id = t.flop_cells[fi];
-      const Cell& c = t.nl->cell(id);
-      const int n = static_cast<int>(c.ins.size());
-      for (int i = 0; i < n; ++i) tmp[i] = values_[c.ins[i]];
-      if (has_inj_[id]) apply_inj(id, tmp, nullptr);
-      // DFF: q' = d. DFFR (active-low reset to 0): q' = d & rstn.
-      flop_state_[id] =
-          c.type == CellType::kDff ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
+      if (replay_ && dirty_count_[flop_base + fi] == 0 &&
+          div_pos_[t.nl->cell(id).out] == kInvalidId)
+        continue;
+      latch_flop(id);
+      dirty_scratch_[m++] = fi;
     }
-    activity_.flops_latched += dirty_scratch_.size();
-    activity_.flops_skipped += t.flop_cells.size() - dirty_scratch_.size();
-    // Pass 2: expose changed Qs of the latched flops only — a skipped
-    // flop's state is unchanged, so its exposed Q (a fixed Q-pin fault
-    // over an unchanged word) is unchanged too.
-    for (const std::uint32_t fi : dirty_scratch_) {
-      const CellId id = t.flop_cells[fi];
-      Word v = flop_state_[id];
-      if (has_inj_[id]) apply_inj(id, nullptr, &v);
-      const NetId out = t.nl->cell(id).out;
-      if (lane_neq(v, values_[out])) {
-        values_[out] = v;
-        propagate_change(out);
-      }
-    }
-    eval();
-    return;
+    dirty_scratch_.resize(m);
+  } else {
+    // Full latch: the oracle path, and the re-arming edge after any
+    // untracked state (full sweep, power-on, injection change). Re-arm
+    // dirty-D tracking now: pass 2 and the next event drain mark against
+    // the fresh epoch; if that eval falls back to a full sweep it
+    // re-invalidates, keeping this edge's writes conservative.
+    dirty_flops_.clear();
+    bump_flop_epoch();
+    all_flops_dirty_ = false;
+    dirty_scratch_.resize(t.flop_cells.size());
+    std::iota(dirty_scratch_.begin(), dirty_scratch_.end(), 0u);
+    for (const CellId id : t.flop_cells) latch_flop(id);
   }
-  // Full latch: the oracle path, and the re-arming edge after any
-  // untracked state (full sweep, power-on, injection change).
-  dirty_flops_.clear();
-  bump_flop_epoch();
-  // Re-arm dirty-D tracking before eval(): pass 2 and the event drain
-  // below mark against the fresh epoch; if eval() falls back to a full
-  // sweep it re-invalidates, keeping this edge's writes conservative.
-  all_flops_dirty_ = false;
-  // Pass 1: latch every flop from the settled net values. flop_state_ is
-  // never read here, so flop-to-flop paths latch pre-edge values.
-  for (CellId id : t.flop_cells) {
-    const Cell& c = t.nl->cell(id);
-    const int n = static_cast<int>(c.ins.size());
-    for (int i = 0; i < n; ++i) tmp[i] = values_[c.ins[i]];
-    if (has_inj_[id]) apply_inj(id, tmp, nullptr);
-    // DFF: q' = d. DFFR (active-low reset to 0): q' = d & rstn.
-    flop_state_[id] =
-        c.type == CellType::kDff ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
+  activity_.flops_latched += dirty_scratch_.size();
+  activity_.flops_skipped += t.flop_cells.size() - dirty_scratch_.size();
+  // Replay: every clean net takes the next cycle's good value, decided on
+  // the pre-edge divergence state, before pass 2 exposes the new Qs.
+  if (replay_) {
+    replay_settled_ = false;
+    apply_trace(++replay_cycle_);
   }
-  activity_.flops_latched += t.flop_cells.size();
-  // Pass 2 (event mode): expose changed Q values (with Q-pin faults) and
-  // seed their fanout, replacing the per-eval scan over every flop.
-  if (mode_ == PackedEvalMode::kEventDriven && !needs_full_) {
-    for (CellId id : t.flop_cells) {
-      Word v = flop_state_[id];
-      if (has_inj_[id]) apply_inj(id, nullptr, &v);
-      const NetId out = t.nl->cell(id).out;
-      if (lane_neq(v, values_[out])) {
-        values_[out] = v;
-        propagate_change(out);
-      }
-    }
+  // Pass 2: expose the latched flops' Q values (with Q-pin faults), so
+  // flop-driven nets are current before the next eval(). Event mode
+  // seeds their fanout instead of rescanning every flop per eval; a
+  // skipped flop's exposed Q is unchanged, and a full sweep recomputes
+  // everything anyway.
+  const bool tracked = mode_ == PackedEvalMode::kEventDriven && !needs_full_;
+  for (const std::uint32_t fi : dirty_scratch_) {
+    const CellId id = t.flop_cells[fi];
+    Word v = flop_state_[id];
+    if (has_inj_[id]) apply_inj(id, nullptr, &v);
+    const NetId out = t.nl->cell(id).out;
+    if (tracked)
+      write_net(out, v);
+    else
+      values_[out] = v;
   }
+}
+
+template <int W>
+void PackedSimT<W>::clock() {
+  latch();
   eval();
 }
 

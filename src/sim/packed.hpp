@@ -24,6 +24,20 @@
 // whose D input changed since their last latch — the dirty-D set seeded
 // by the same event drain — are latched, with the full two-pass latch
 // retained as the oracle (PackedClockMode).
+//
+// Trace-replay mode (begin_replay) is concurrent fault simulation over a
+// recorded good machine (a ReferenceTrace): a cell is *dirty* when it
+// carries an injection or any of its inputs differs from the good machine
+// on a live lane, otherwise *clean*. Nets driven by clean cells and clean
+// flops take their good value from the trace, read through a
+// per-simulator cursor over the column runs; only dirty cells are
+// evaluated, and clean flops are not latched. Lanes whose fault is already
+// detected can be dropped (drop_lanes): every uniformity and change test
+// is masked to the live lanes, so a dropped lane stops keeping cells dirty
+// and its values are unspecified from then on. Replay is exact on the live
+// lanes only if every cycle settles exactly once at the recorded state:
+// the caller alternates latch() and a single eval(), and a second eval()
+// before the next latch() throws.
 #pragma once
 
 #include <bit>
@@ -93,6 +107,11 @@ struct PackedTopology {
   std::vector<CellId> flop_cells;
   std::vector<CellId> source_cells;  ///< kInput + ties (full-sweep order)
   std::vector<CellId> input_cells;   ///< kInput only (per-eval change scan)
+  /// Replay slot of each net's driver: its order index for a
+  /// combinational cell, order.size() + its flop index for a flop, and
+  /// kInvalidId for sources (inputs, ties) and undriven nets, which replay
+  /// never sets from the trace.
+  std::vector<std::uint32_t> net_slot;
 
   /// Throws std::runtime_error on a combinational loop.
   static std::shared_ptr<const PackedTopology> build(const Netlist& nl);
@@ -189,6 +208,63 @@ struct ConeAnalysis {
 ConeSig changed_net_signature(const ConeAnalysis& cones, const Netlist& nl,
                               std::span<const NetId> changed_nets);
 
+/// Checkpoint of one fault-free run: the executed cycle count plus the
+/// per-cycle lane-0 value of EVERY net. A campaign records the good
+/// machine once per test program; every batch of every worker then reads
+/// its reference from the checkpoint instead of re-deriving good values —
+/// the packed kernel replays it as every clean net's value (trace-replay
+/// mode, PackedSimT::begin_replay), the stuck-at path compares the
+/// observed outputs against it, and the TDF path reads each fault site's
+/// launch schedule straight out of it (no per-batch good-machine pass).
+///
+/// Storage is column-oriented RLE: nets are packed 64 to a word column,
+/// and each column stores (start cycle, word value) runs — a cycle that
+/// changes none of a column's nets appends nothing, so the trace grows
+/// with bus activity, not with cycles * nets. (A positional RLE over the
+/// concatenated per-cycle words — what the old observed-only GoodTrace
+/// used — degenerates once a cycle spans hundreds of words: an unchanged
+/// cycle still re-emits every distinct adjacent word.)
+struct ReferenceTrace {
+  /// One 64-net word column: run r holds `value[r]` from `cycle[r]` until
+  /// the next run's start (or the end of the trace).
+  struct Column {
+    std::vector<std::uint32_t> cycle;  ///< run starts, increasing, first 0
+    std::vector<std::uint64_t> value;
+  };
+
+  int cycles = 0;
+  std::size_t num_nets = 0;
+  std::vector<Column> columns;  ///< ceil(num_nets / 64)
+
+  /// Lane-0 value of `net` during `cycle` (binary search in the column).
+  bool net_bit(int cycle, NetId net) const;
+
+  /// One net's whole history, packed by cycle (bit c of packed[c / 64]).
+  /// Walks the net's column once — the bulk form every per-batch consumer
+  /// uses instead of per-cycle net_bit() scans.
+  void net_history(NetId net, std::vector<std::uint64_t>& packed) const;
+
+  /// Clears and sizes the columns for a netlist with `nets` nets.
+  void reset(std::size_t nets);
+  /// Appends one cycle's net words (columns.size() of them). Cycles must
+  /// be appended in order; increments `cycles`.
+  void append_cycle(const std::uint64_t* words);
+  /// Checks the column invariants (after deserialization). Throws
+  /// std::runtime_error on malformed runs.
+  void validate() const;
+
+  /// Total stored runs across all columns (the compression measure).
+  std::size_t run_count() const;
+
+  /// Order-sensitive FNV-1a over the shape and every run: equal
+  /// fingerprints mean bit-identical checkpoints. Subprocess campaign
+  /// workers rebuild their reference traces from the netlist and hash
+  /// them, so the coordinator can reject a worker whose rebuilt state
+  /// drifted (wrong SoC configuration, different program) instead of
+  /// merging garbage masks — see campaign/executor.hpp.
+  std::uint64_t fingerprint() const;
+};
+
 /// eval() strategy; both produce bit-identical values.
 enum class PackedEvalMode : std::uint8_t {
   kEventDriven,  ///< dirty-set scheduling over the fanout graph (default)
@@ -223,8 +299,13 @@ struct PackedActivity {
   std::uint64_t sched_pushes = 0;     ///< cells pushed into the event arena
   std::uint64_t flops_latched = 0;    ///< flops latched across clock() edges
   /// Flops skipped by incremental clocking (their D input provably
-  /// unchanged since their last latch) — the dirty-D payoff.
+  /// unchanged since their last latch, or clean under replay) — the
+  /// dirty-D payoff.
   std::uint64_t flops_skipped = 0;
+  /// Nets set from the reference trace under replay (good-only work that
+  /// is read instead of simulated).
+  std::uint64_t good_applied = 0;
+  std::uint64_t lanes_dropped = 0;  ///< lanes dropped under replay
 };
 
 template <int W>
@@ -245,11 +326,13 @@ class PackedSimT {
   /// insertion order of add_injection calls since the last
   /// clear_injections(). Unlike add_injection this does NOT invalidate the
   /// event state: the injected cell set is unchanged, injected
-  /// combinational cells are permanently event-active, source cells are
-  /// re-scanned every eval, port faults apply at observed(), flop D/reset
-  /// faults apply at clock() — only a flop Q fault needs (and gets) an
-  /// explicit re-expose. This is the per-cycle arming primitive of the
-  /// transition-delay flow, where a fault is live only on capture cycles.
+  /// combinational cells are permanently event-active (under replay they
+  /// are rescheduled here instead), primary inputs are re-scanned every
+  /// eval, port faults apply at observed(), flop D/reset faults apply at
+  /// the next latch — only a flop Q fault needs (and gets) an explicit
+  /// re-expose, and a tie one full sweep. This is the per-cycle arming
+  /// primitive of the transition-delay flow, where a fault is live only on
+  /// capture cycles.
   void set_injection_lanes(std::size_t index, const Word& lanes);
 
   /// Zeroes all state (flops and nets). 2-valued power-on; drive a reset
@@ -266,11 +349,36 @@ class PackedSimT {
   /// Settles combinational logic (applies injections). Event-driven unless
   /// the mode is kFullSweep or the state was invalidated (power-on,
   /// injection change), in which case it falls back to one full sweep.
+  /// Under replay: the one eval of the current cycle (throws
+  /// std::logic_error on a second one before the next latch()).
   void eval();
-  /// Unconditional levelized sweep over every cell — the reference kernel.
+  /// Unconditional levelized sweep over every cell — the reference kernel
+  /// (under replay, the cycle's one eval, resolved by a sweep).
   void full_eval();
-  /// Clock edge then eval.
+  /// Clock edge: latches the flops and exposes their new Q values (so
+  /// flop-driven nets read correctly before the next eval()), without
+  /// settling the combinational logic. Under replay it also advances the
+  /// trace cursor and sets every clean net to the next cycle's good value.
+  void latch();
+  /// latch() then eval().
   void clock();
+
+  /// Enters trace-replay mode at cycle 0 of `trace`, a recording of this
+  /// netlist's good machine (lane 0, no injections) under the stimulus
+  /// the caller will replay. Call it on a settled state (after the reset
+  /// sequence), then alternate one eval() per cycle with latch(); cycle c
+  /// must settle to exactly the trace's cycle c on lane 0. Requires the
+  /// event-driven, incremental-clocking modes. Replay lasts until
+  /// power_on() or clear_injections(); add_injection() throws during it.
+  /// Throws std::invalid_argument on a trace of another shape or with no
+  /// cycles, std::logic_error in the wrong modes.
+  void begin_replay(const ReferenceTrace& trace);
+  bool replaying() const { return replay_ != nullptr; }
+  /// Replay only (a no-op otherwise): stops tracking `lanes` — detected
+  /// faulty machines whose later values no longer matter. Lane 0, the
+  /// good machine, is never dropped. Call it on a settled cycle, between
+  /// eval() and latch() (std::logic_error otherwise).
+  void drop_lanes(const Word& lanes);
 
   void set_eval_mode(PackedEvalMode mode) { mode_ = mode; }
   PackedEvalMode eval_mode() const { return mode_; }
@@ -281,6 +389,7 @@ class PackedSimT {
   void reset_activity() { activity_ = {}; }
   std::size_t comb_cell_count() const { return topo_->order.size(); }
 
+  /// A net's packed value (under replay, only the live lanes are exact).
   const Word& value(NetId net) const { return values_[net]; }
   /// Value seen by a top-level output port, including any injection on the
   /// port cell's input pin (PO stuck-at faults). Wide words travel by
@@ -302,11 +411,30 @@ class PackedSimT {
   void run_event_sweep();
   void push_event(std::uint32_t order_idx);
   void mark_flop_dirty(std::uint32_t flop_idx);
-  /// A net's settled value changed: schedule its combinational readers
-  /// and mark its flop readers dirty for the next clock edge. The single
-  /// change-tracking entry point — every values_[] write outside a full
-  /// sweep routes through it, so the dirty-D set can never miss a flop.
-  void propagate_change(NetId net);
+  /// Writes a net's new value and, if it changed, schedules its
+  /// combinational readers and marks its flop readers dirty for the next
+  /// clock edge. The single change-tracking entry point — every values_[]
+  /// write outside a full sweep routes through it, so neither the dirty-D
+  /// set nor the replay divergence state can miss a change. Returns
+  /// whether the value changed (on a live lane under replay).
+  bool write_net(NetId net, const Word& v);
+  /// write_net under replay: changes are masked to the live lanes, the
+  /// net's divergence flag and its readers' dirty counts follow the new
+  /// value, and a clean reader is scheduled only when the flag flips.
+  bool replay_write(NetId net, const Word& v);
+  /// Some live lane of `v` differs from lane 0 (the good machine).
+  bool diverges(const Word& v) const;
+  void set_divergent(NetId net, bool div);
+  /// Adds `delta` to the dirty count of every reader slot of `net`.
+  void count_readers(NetId net, int delta);
+  /// Recomputes every net's divergence flag and every slot's dirty count
+  /// from the current values and injections.
+  void rebuild_divergence();
+  /// Advances the trace cursor to `cycle` and writes the good value of
+  /// every net whose good value changed and whose driver is clean.
+  void apply_trace(int cycle);
+  /// Latches one flop from the settled net values into flop_state_.
+  void latch_flop(CellId id);
   void bump_event_epoch();
   void bump_flop_epoch();
   void compute_cell(const PackedTopology::FlatCell& fc, Word& out) const;
@@ -354,6 +482,22 @@ class PackedSimT {
   std::vector<std::uint32_t> flop_stamp_;     // per flop index
   std::uint32_t flop_epoch_ = 1;
   bool all_flops_dirty_ = true;
+
+  // Trace replay. Slots are the topology's net_slot numbering (comb cells,
+  // then flops); dirty_count_ counts a slot's divergent input pins plus
+  // one if it carries an injection, so a slot is clean iff its count is 0.
+  // div_pos_[net] is the net's index in div_nets_ (the divergent nets), or
+  // kInvalidId; drop_lanes re-tests only those. The cursor is a run index
+  // per trace column plus the column word of good values last applied.
+  const ReferenceTrace* replay_ = nullptr;
+  int replay_cycle_ = 0;
+  bool replay_settled_ = false;  // this cycle's eval() already ran
+  Word live_{};
+  std::vector<std::uint8_t> dirty_count_;
+  std::vector<std::uint32_t> div_pos_;
+  std::vector<NetId> div_nets_;
+  std::vector<std::uint32_t> run_cursor_;
+  std::vector<std::uint64_t> applied_;
 
   PackedActivity activity_;
 };

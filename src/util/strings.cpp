@@ -50,7 +50,10 @@ std::optional<std::uint64_t> parse_uint(std::string_view s) {
       digit = c - 'A' + 10;
     else
       return std::nullopt;
-    v = v * static_cast<std::uint64_t>(base) + static_cast<std::uint64_t>(digit);
+    const auto b = static_cast<std::uint64_t>(base);
+    const auto d = static_cast<std::uint64_t>(digit);
+    if (v > (UINT64_MAX - d) / b) return std::nullopt;  // would wrap
+    v = v * b + d;
   }
   return v;
 }

@@ -109,11 +109,13 @@ class Parser {
     while (!at_ident("endmodule")) {
       const Token t = lex_.take();
       if (t.kind != Token::kIdent) fail("expected declaration or instance");
-      if (t.text == "input") {
-        declare_input(nl, take_ident("port name"));
-        expect_punct(';');
-      } else if (t.text == "output") {
-        declare_output(take_ident("port name"));
+      if (t.text == "input" || t.text == "output") {
+        const std::string name = take_ident("port name");
+        check_in_header(name);
+        if (t.text == "input")
+          declare_input(nl, name);
+        else
+          declare_output(name);
         expect_punct(';');
       } else if (t.text == "wire") {
         declare_wire(nl, take_ident("wire name"));
@@ -129,6 +131,10 @@ class Parser {
       }
     }
     lex_.take();  // endmodule
+    for (const auto& [name, line] : header_ports_)
+      if (!header_declared_[name])
+        throw VerilogError("header port '" + name + "' is never declared",
+                           line);
 
     // Connect output ports via their assigns.
     for (const std::string& name : output_order_) {
@@ -165,15 +171,34 @@ class Parser {
     return lex_.take().text;
   }
 
+  /// One header entry: "input a" / "output y" (ANSI style), or a bare
+  /// port name whose direction the body declares (non-ANSI style).
   void parse_port_decl(Netlist& nl) {
-    const std::string dir = take_ident("port direction");
+    const Token first = lex_.peek();
+    const std::string word = take_ident("port name");
+    if (lex_.peek().kind != Token::kIdent) {
+      if (word == "input" || word == "output") fail("expected port name");
+      header_ports_.emplace_back(word, first.line);
+      header_declared_.emplace(word, false);
+      return;
+    }
     const std::string name = take_ident("port name");
-    if (dir == "input")
+    if (word == "input")
       declare_input(nl, name);
-    else if (dir == "output")
+    else if (word == "output")
       declare_output(name);
     else
-      fail("bad port direction '" + dir + "'");
+      fail("bad port direction '" + word + "'");
+  }
+
+  /// A non-ANSI header lists every port, so a body port declaration must
+  /// name one of them.
+  void check_in_header(const std::string& name) {
+    if (header_ports_.empty()) return;
+    const auto it = header_declared_.find(name);
+    if (it == header_declared_.end())
+      fail("port '" + name + "' is not in the module header");
+    it->second = true;
   }
 
   void declare_input(Netlist& nl, const std::string& name) {
@@ -242,6 +267,8 @@ class Parser {
   std::unordered_map<std::string, NetId> nets_;
   std::vector<std::string> output_order_;
   std::vector<std::pair<std::string, std::string>> assigns_;
+  std::vector<std::pair<std::string, int>> header_ports_;  // name, line
+  std::unordered_map<std::string, bool> header_declared_;
   std::unordered_map<std::string, std::string> assign_map_;
 };
 

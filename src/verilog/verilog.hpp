@@ -4,11 +4,16 @@
 // look like after mapping to the olfui cell library:
 //
 //   module <name> ( <ports> );
-//     input  a; output y; wire n1;
+//     input  a; output y; wire n1;      // non-ANSI: the header lists a, y
 //     AND2 u1 (.Y(n1), .A(a), .B(n2));
 //     DFFR r0 (.Q(q), .D(d), .RSTN(rstn));
 //     assign y = n1;        // output port connections
 //   endmodule
+//
+// The header is either non-ANSI, as above (bare port names, each declared
+// in the body; a name missing on either side is a located error), or
+// ANSI ("module m (input a, output y);", what write_verilog emits). An
+// empty header with body declarations is accepted too.
 //
 // Hierarchical instance names ("core/alu/u_sum_3") are emitted as Verilog
 // escaped identifiers (\core/alu/u_sum_3 ). Round-tripping a netlist

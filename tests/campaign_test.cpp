@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "campaign/campaign.hpp"
 #include "campaign/executor.hpp"
@@ -1230,6 +1232,46 @@ TEST(Campaign, GradeMatchesLegacySequentialCampaign) {
   EXPECT_EQ(r.total_new_detections, legacy_found);
   for (FaultId f = 0; f < u.size(); ++f)
     ASSERT_EQ(fl.detect_state(f), legacy.detect_state(f)) << f;
+}
+
+/// Exit status of one olfui_cli invocation, its output discarded.
+int cli_status(const std::string& args) {
+  const int rc = std::system(("./olfui_cli " + args + " >/dev/null 2>&1").c_str());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+TEST(OlfuiCli, RejectsOutOfRangeCountsAtParseTime) {
+  // Every count is rejected before anything is built or spawned, so no
+  // case here can start a campaign. Values past 2^32 used to wrap on the
+  // cast to int (4294967360 -> 64 lanes, 4294967297 -> 1 thread).
+  if (::access("./olfui_cli", X_OK) != 0)
+    GTEST_SKIP() << "./olfui_cli not in the working directory";
+  for (const char* args :
+       {"--sbst --lanes 4294967360", "--sbst --lanes 96",
+        "--sbst --threads 4294967297", "--sbst --threads 257",
+        "--sbst --workers 257", "--sbst --workers 4294967298",
+        "--sbst --min-workers 257", "--sbst --max-respawns 1025",
+        "--sbst --threads -1", "--sbst --threads 18446744073709551617",
+        "missing.v --threads 4294967297",
+        "missing.v --threads 257"})
+    EXPECT_EQ(cli_status(args), 2) << args;
+}
+
+TEST(OlfuiCli, HelpPrintsUsageToStdoutAndSucceeds) {
+  if (::access("./olfui_cli", X_OK) != 0)
+    GTEST_SKIP() << "./olfui_cli not in the working directory";
+  for (const char* flag : {"--help", "-h"}) {
+    FILE* out = ::popen(
+        (std::string("./olfui_cli ") + flag + " 2>/dev/null").c_str(), "r");
+    ASSERT_NE(out, nullptr);
+    std::string text;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, out)) text += buf;
+    const int rc = ::pclose(out);
+    EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 0) << flag;
+    EXPECT_NE(text.find("usage:"), std::string::npos) << flag;
+    EXPECT_NE(text.find("at most 256"), std::string::npos) << flag;
+  }
 }
 
 }  // namespace

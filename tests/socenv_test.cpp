@@ -54,13 +54,13 @@ class TransposingSocEnv : public FsimEnvironmentT<W> {
 
   bool step(PackedSimT<W>& sim, int cycle) override {
     if (cycle >= run_cycles_ || halt_seen_) return false;
+    // The bus ports are flop-driven, so the cycle's stimulus is known
+    // before its one eval (the FsimEnvironmentT contract).
     drive_mission_inputs(sim, true);
-    sim.eval();
     const auto iaddr = read_observed_bus_lanes(sim, iaddr_);
     std::array<std::uint64_t, W> instr{};
     for (int l = 0; l < W; ++l) instr[l] = flash_->read(iaddr[l]);
     drive_bus_lanes(sim, soc_->cpu.instr_in, instr);
-    sim.eval();
     const auto baddr = read_observed_bus_lanes(sim, baddr_);
     const auto bwdata = read_observed_bus_lanes(sim, bwdata_);
     const LaneWord<W> wr = sim.observed(bwr_);

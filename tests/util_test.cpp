@@ -122,6 +122,10 @@ TEST(Strings, ParseUintDecimalAndHex) {
   EXPECT_EQ(parse_uint("0x0007_8000"), 0x78000u);
   EXPECT_FALSE(parse_uint("").has_value());
   EXPECT_FALSE(parse_uint("12z").has_value());
+  // Values past 2^64 - 1 are rejected, not wrapped.
+  EXPECT_EQ(parse_uint("18446744073709551615"), UINT64_MAX);
+  EXPECT_FALSE(parse_uint("18446744073709551616").has_value());
+  EXPECT_FALSE(parse_uint("0x1_0000_0000_0000_0000").has_value());
   EXPECT_FALSE(parse_uint("0x").has_value());
 }
 

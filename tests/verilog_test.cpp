@@ -120,6 +120,79 @@ endmodule
   EXPECT_EQ(nl.stats().gates, 1u);
 }
 
+TEST(VerilogParser, AcceptsNonAnsiHeader) {
+  // The header style verilog.hpp documents: bare names in the port list,
+  // directions in the body. It must build the same netlist as the ANSI
+  // header does.
+  const char* non_ansi = R"(
+module m(a, b, y);
+  input a;
+  input b;
+  output y;
+  wire n1;
+  AND2 g1 (.Y(n1), .A(a), .B(b));
+  assign y = n1;
+endmodule
+)";
+  const char* ansi = R"(
+module m (input a, input b, output y);
+  wire n1;
+  AND2 g1 (.Y(n1), .A(a), .B(b));
+  assign y = n1;
+endmodule
+)";
+  const Netlist nl = parse_verilog(non_ansi);
+  EXPECT_EQ(nl.stats().inputs, 2u);
+  EXPECT_EQ(nl.stats().outputs, 1u);
+  EXPECT_EQ(nl.stats().gates, 1u);
+  EXPECT_NE(nl.find_input("b"), kInvalidId);
+  EXPECT_EQ(write_verilog(nl), write_verilog(parse_verilog(ansi)));
+}
+
+/// The line and message of the VerilogError `text` raises.
+std::pair<int, std::string> parse_error(const char* text) {
+  try {
+    parse_verilog(text);
+  } catch (const VerilogError& e) {
+    return {e.line(), e.what()};
+  }
+  ADD_FAILURE() << "expected VerilogError";
+  return {0, ""};
+}
+
+TEST(VerilogParser, NonAnsiHeaderPortNeverDeclaredIsLocated) {
+  const auto [line, msg] = parse_error(R"(
+module m(a,
+         b, y);
+  input a;
+  output y;
+  wire n1;
+  BUF g1 (.Y(n1), .A(a));
+  assign y = n1;
+endmodule
+)");
+  EXPECT_EQ(line, 3);  // the header entry
+  EXPECT_NE(msg.find("header port 'b' is never declared"), std::string::npos)
+      << msg;
+}
+
+TEST(VerilogParser, NonAnsiDeclaredPortMissingFromHeaderIsLocated) {
+  const auto [line, msg] = parse_error(R"(
+module m(a, y);
+  input a;
+  input c;
+  output y;
+  wire n1;
+  BUF g1 (.Y(n1), .A(a));
+  assign y = n1;
+endmodule
+)");
+  EXPECT_EQ(line, 4);
+  EXPECT_NE(msg.find("port 'c' is not in the module header"),
+            std::string::npos)
+      << msg;
+}
+
 TEST(VerilogParser, ErrorsCarryLineNumbers) {
   const char* text = R"(
 module t (input a, output y);
