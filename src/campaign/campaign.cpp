@@ -9,7 +9,6 @@
 
 #include "campaign/cache.hpp"
 #include "campaign/executor.hpp"
-#include "campaign/scheduler.hpp"
 #include "fault/tdf.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/trace.hpp"
@@ -89,11 +88,6 @@ int CampaignEngine::resolved_threads() const {
   return hw ? static_cast<int>(hw) : 1;
 }
 
-const BatchScheduler& CampaignEngine::scheduler() const {
-  static const FixedScheduler kFixed;
-  return opts_.scheduler ? *opts_.scheduler : kFixed;
-}
-
 ShardExecutor& CampaignEngine::executor() const {
   if (opts_.executor) return *opts_.executor;
   std::lock_guard lock(exec_mu_);
@@ -110,27 +104,20 @@ BitVec CampaignEngine::grade(std::span<const FaultId> targets,
   if (targets.empty()) return detected;
 
   // --- plan ---------------------------------------------------------------
-  // Batch formation is the scheduler's: the plan permutes the targets and
-  // draws the batch boundaries; everything below (execution, merge,
-  // timings) is plan-shaped. A malformed plan throws here rather than
-  // silently dropping faults.
+  // Shard b is the contiguous span targets[b * batch_size, ...) — see
+  // shard_span; a test built narrower than the campaign grades at its own
+  // width.
   auto plan_span = obs::tracer().span("plan", "campaign");
   plan_span.arg("test", Json(test.name));
   plan_span.arg("targets", Json(targets.size()));
-  // A test built narrower than the campaign grades at its own width.
   const int lane_width =
       std::min(opts_.lane_width, resolve_lane_width(test.lane_width));
-  const ScheduleContext ctx{
-      static_cast<std::size_t>(std::min(opts_.batch_size, lane_width - 1)),
-      test.name};
-  const BatchPlan plan = scheduler().plan(targets, ctx);
-  plan.validate(targets.size(), static_cast<std::size_t>(lane_width - 1));
-  std::vector<FaultId> planned(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i)
-    planned[i] = targets[plan.order[i]];
-  std::vector<std::uint32_t> shard_ids(plan.batches());
+  const auto batch_size =
+      static_cast<std::size_t>(std::min(opts_.batch_size, lane_width - 1));
+  const std::size_t shards = shard_count(targets.size(), batch_size);
+  std::vector<std::uint32_t> shard_ids(shards);
   std::iota(shard_ids.begin(), shard_ids.end(), 0u);
-  plan_span.arg("shards", Json(plan.batches()));
+  plan_span.arg("shards", Json(shards));
   plan_span.end();
 
   // --- execute ------------------------------------------------------------
@@ -138,10 +125,11 @@ BitVec CampaignEngine::grade(std::span<const FaultId> targets,
   // failed shard throws out of execute(), never shrinks the merge.
   std::mutex progress_mu;
   std::size_t graded = 0;
-  ShardWork work{plan,       targets,           planned,
-                 shard_ids,  test,              opts_.fault_model,
-                 universe_->size(),             {},
-                 opts_.shard_timeout,           lane_width};
+  ShardWork work{targets,           batch_size,
+                 shard_ids,         test,
+                 opts_.fault_model, universe_->size(),
+                 {},                opts_.shard_timeout,
+                 lane_width};
   if (progress)
     work.progress = [&](std::size_t n) {
       std::lock_guard lock(progress_mu);
@@ -150,24 +138,23 @@ BitVec CampaignEngine::grade(std::span<const FaultId> targets,
     };
   auto exec_span = obs::tracer().span("execute", "campaign");
   exec_span.arg("test", Json(test.name));
-  exec_span.arg("shards", Json(plan.batches()));
+  exec_span.arg("shards", Json(shards));
   const std::vector<ShardResult> results = executor().execute(work);
   exec_span.end();
 
   // --- merge --------------------------------------------------------------
-  // Deterministic: shard order, then lane order within the shard, mapped
-  // back through the plan's permutation — so any partition of the targets,
-  // run anywhere, yields the same detection flags in target order.
+  // Deterministic: lane j of shard b is target b * batch_size + j, so the
+  // masks read straight back into target order wherever the shards ran.
   // Timings stay slot-indexed by shard id (never completion order), so
   // the report's layout is thread- and placement-independent too.
   auto merge_span = obs::tracer().span("merge", "campaign");
   merge_span.arg("test", Json(test.name));
-  for (std::size_t shard = 0; shard < plan.batches(); ++shard) {
-    const std::size_t lo = plan.batch_start[shard];
-    const std::size_t n = plan.batch_size(shard);
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    const std::size_t lo = shard * batch_size;
+    const std::size_t n = std::min(batch_size, targets.size() - lo);
     for (std::size_t j = 0; j < n; ++j)
       if (results[shard].mask.bit(static_cast<int>(j)))
-        detected.set(plan.order[lo + j], true);
+        detected.set(lo + j, true);
   }
   if (shard_seconds)
     for (const ShardResult& r : results) shard_seconds->push_back(r.seconds);
@@ -180,7 +167,6 @@ CampaignResult CampaignEngine::run(FaultList& fl,
   CampaignResult result;
   result.universe = universe_->size();
   result.fault_model = opts_.fault_model;
-  result.stats.schedule_policy = std::string(scheduler().name());
   result.stats.executor = std::string(executor().name());
   result.stats.options_hash = campaign_options_hash(opts_);
 
@@ -200,7 +186,6 @@ CampaignResult CampaignEngine::run(FaultList& fl,
       cache_key.universe_fp =
           fnv1a64_word(fault_list_fingerprint(fl), universe_fingerprint(*universe_));
       cache_key.trace_fp = tests_fp;
-      cache_key.plan_hash = scheduler().fingerprint();
       cache_key.options_hash = result.stats.options_hash;
       cache_key.fault_model = std::string(to_string(opts_.fault_model));
       cache_key.lane_width = opts_.lane_width;
@@ -219,7 +204,6 @@ CampaignResult CampaignEngine::run(FaultList& fl,
               DetectState::kUndetected)
             fl.set_detected(static_cast<FaultId>(f));
         // The payload carries no stats; label this run's own context.
-        cached.stats.schedule_policy = result.stats.schedule_policy;
         cached.stats.executor = result.stats.executor;
         cached.stats.threads = resolved_threads();
         cached.stats.options_hash = result.stats.options_hash;
@@ -242,8 +226,8 @@ CampaignResult CampaignEngine::run(FaultList& fl,
     pt.good_cycles = test.good_cycles;
     pt.faults_targeted = targets.size();
 
-    // One timing slot lands per shard, so the scheduler's actual batch
-    // count (policies may split or regroup) is the timing delta.
+    // One timing slot lands per shard, so the batch count is the timing
+    // delta.
     const std::size_t shards_before = result.stats.shard_seconds.size();
     // wall_seconds is the sum of per-grade() monotonic clock pairs — each
     // bracket encloses exactly one plan/execute/merge pass, so every

@@ -8,12 +8,13 @@
 // over 63-fault batches; this engine is the single entry point for all of
 // them:
 //
-//  * scheduling — the target fault list is cut into up-to-(lanes-1)-fault
-//    batches (one parallel-fault simulator pass each; 255 at the default
-//    256-lane width, 63 for 64-lane tests) by a pluggable
-//    BatchScheduler (scheduler.hpp: fixed spans by default, cone-aware
-//    grouping, profile-guided adaptive splitting);
-//  * execution — the planned shards run on a pluggable ShardExecutor
+//  * batching — the target fault list is cut into contiguous spans of
+//    batch_size faults (one parallel-fault simulator pass each; up to
+//    lanes-1: 255 at the default 256-lane width, 63 for 64-lane tests).
+//    Grouping faults by fanout cone or splitting hot shards never beat
+//    fixed spans here (cones on a CPU reach nearly everything), so
+//    spans are the only batch formation;
+//  * execution — the shards run on a pluggable ShardExecutor
 //    (executor.hpp: the in-process work-stealing worker pool by default,
 //    or subprocess workers speaking a JSON line protocol — the seam any
 //    future socket/multi-host backend plugs into);
@@ -34,6 +35,7 @@
 // span of up to CampaignTest::lane_width - 1 faults (63 unless set).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -49,9 +51,8 @@
 
 namespace olfui {
 
-class BatchScheduler;  // campaign/scheduler.hpp
-class ShardExecutor;   // campaign/executor.hpp
-class ResultCache;     // campaign/cache.hpp
+class ShardExecutor;  // campaign/executor.hpp
+class ResultCache;    // campaign/cache.hpp
 
 /// One worker's private grading kernel: simulator + environment state.
 /// Instances are confined to a single worker thread; the factory that
@@ -111,13 +112,8 @@ struct CampaignOptions {
   /// runners must grade the matching model — the engine only shards and
   /// merges, it never reinterprets a batch.
   FaultModel fault_model = FaultModel::kStuckAt;
-  /// Batch-formation policy (scheduler.hpp); null grades with the fixed
-  /// contiguous-span policy. Policies only regroup and resize batches —
-  /// every policy produces the identical detection set (the merge is
-  /// order-independent), so this is purely a performance knob.
-  std::shared_ptr<const BatchScheduler> scheduler;
   /// Shard-execution backend (executor.hpp); null runs shards on the
-  /// engine's in-process worker pool. Executors only decide where planned
+  /// engine's in-process worker pool. Executors only decide where the
   /// shards run — the merge is slot-indexed by shard id, so every backend
   /// produces the identical detection set.
   std::shared_ptr<ShardExecutor> executor;
@@ -141,19 +137,18 @@ struct CampaignOptions {
   /// cache (stats.cache = "bypass").
   std::shared_ptr<ResultCache> cache;
   /// Restricts grading to the set bits of this fault mask (on top of the
-  /// usual testable/undetected filtering) — the incremental re-grade
-  /// seam: seed_from_previous splices unaffected detections and re-grades
-  /// only the masked set. Null = all faults. Masked runs bypass the cache
+  /// usual testable/undetected filtering), e.g. to grade a sampled subset
+  /// of the universe. Null = all faults. Masked runs bypass the cache
   /// (their result does not describe the full campaign).
   std::shared_ptr<const BitVec> target_mask;
 };
 
 /// Campaign-wide outcome. Everything except `stats` is a pure function of
-/// (universe, fault list, tests, batch_size, scheduling policy) — thread
-/// count never shows through, which operator== checks (it deliberately
-/// ignores the nondeterministic runtime stats). The scheduling policy
-/// shows through only via tests[].batches (policies regroup work); the
-/// detection payload (`detected`, classes, coverage) is policy-invariant.
+/// (universe, fault list, tests, batch_size) — thread count never shows
+/// through, which operator== checks (it deliberately ignores the
+/// nondeterministic runtime stats). The batch size shows through only via
+/// tests[].batches; the detection payload (`detected`, classes, coverage)
+/// is the same at every batch size.
 struct CampaignResult {
   struct PerTest {
     std::string name;
@@ -189,14 +184,11 @@ struct CampaignResult {
     std::size_t faults_simulated = 0;  ///< fault x test pairs graded
     std::size_t batches = 0;
     double faults_per_second = 0;
-    /// BatchScheduler::name() of the policy that formed the batches.
-    std::string schedule_policy = "fixed";
     /// ShardExecutor::name() of the backend that ran the shards.
     std::string executor = "inproc";
     /// Wall time of every shard, all tests concatenated in shard index
     /// order (test boundaries recoverable from tests[].batches). Early
-    /// exit skews shard cost, so this is the profile input for
-    /// AdaptiveScheduler's hot-shard splitting (scheduler.hpp).
+    /// exit skews shard cost, so this shows where a test's time went.
     std::vector<double> shard_seconds;
     // Executor recovery odometer for this run (ExecutorHealth delta
     // around run()): how the result was obtained, never what it is — all
@@ -207,19 +199,12 @@ struct CampaignResult {
     std::size_t degraded_shards = 0; ///< shards graded by the fallback
     /// Result-cache disposition of this run: "off" (no cache configured),
     /// "bypass" (cache configured but the run is not cacheable: masked
-    /// targets or a spec-less test), "miss" (graded and stored), "hit"
-    /// (decoded from the cache, zero shards executed), or "partial"
-    /// (incremental re-grade via seed_from_previous).
+    /// targets or a spec-less test), "miss" (graded and stored), or "hit"
+    /// (decoded from the cache, zero shards executed).
     std::string cache = "off";
     /// campaign_options_hash() of the payload-affecting options (also the
     /// cache key's options component).
     std::uint64_t options_hash = 0;
-    /// Partial-hit bookkeeping (zero outside "partial" runs): detections
-    /// spliced from the previous result without simulating, faults
-    /// re-graded, and re-graded share of the eligible universe.
-    std::size_t cache_spliced = 0;
-    std::size_t regraded_faults = 0;
-    double regrade_fraction = 0;
   };
 
   std::size_t universe = 0;
@@ -247,6 +232,20 @@ CampaignTest make_function_test(
     std::function<LaneMask(std::span<const FaultId>)> kernel,
     int good_cycles = 0);
 
+/// Number of shards `targets` faults form at `batch_size` faults a shard.
+inline std::size_t shard_count(std::size_t targets, std::size_t batch_size) {
+  return (targets + batch_size - 1) / batch_size;
+}
+
+/// Shard `b` of `targets` cut into contiguous spans of `batch_size`:
+/// targets[b * batch_size, min((b + 1) * batch_size, targets.size())).
+inline std::span<const FaultId> shard_span(std::span<const FaultId> targets,
+                                           std::size_t batch_size,
+                                           std::size_t b) {
+  const std::size_t lo = b * batch_size;
+  return targets.subspan(lo, std::min(batch_size, targets.size() - lo));
+}
+
 /// Progress callback: (test name, faults graded so far, faults targeted).
 using CampaignProgress =
     std::function<void(const std::string&, std::size_t, std::size_t)>;
@@ -261,10 +260,10 @@ class CampaignEngine {
   int resolved_threads() const;
 
   /// The deterministic parallel grading primitive, an explicit
-  /// plan -> execute -> merge pipeline: forms batches through the
-  /// configured BatchScheduler, hands the validated plan and every shard
-  /// id to the configured ShardExecutor, and merges the returned masks
-  /// back to target order, returning per-target detection flags (aligned
+  /// plan -> execute -> merge pipeline: cuts the targets into contiguous
+  /// batch_size spans (shard_span), hands every shard id to the
+  /// configured ShardExecutor, and reads the returned masks straight back
+  /// into target order, returning per-target detection flags (aligned
   /// with `targets`). Flows with their own between-test bookkeeping
   /// (e.g. scan ATPG's equivalence-class propagation) build on this
   /// directly. With `shard_seconds`, each shard's wall time is appended
@@ -280,7 +279,6 @@ class CampaignEngine {
                      const CampaignProgress& progress = {}) const;
 
  private:
-  const BatchScheduler& scheduler() const;
   ShardExecutor& executor() const;
 
   const FaultUniverse* universe_;

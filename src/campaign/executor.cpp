@@ -154,16 +154,15 @@ std::vector<ShardResult> InProcessExecutor::execute(const ShardWork& work) {
     std::size_t idx;
     while (queue.pop(w, idx)) {
       const std::uint32_t shard = work.shards[idx];
-      const std::size_t lo = work.plan.batch_start[shard];
-      const std::size_t n = work.plan.batch_size(shard);
+      const std::span<const FaultId> faults = work.shard_faults(shard);
+      const std::size_t n = faults.size();
       try {
         // Runner construction stays outside the timed span: shard_seconds
-        // is the adaptive scheduler's profile input and must measure
-        // grading cost, not one-time per-worker setup.
+        // must measure grading cost, not one-time per-worker setup.
         if (!runner) runner = work.test.make_runner();
         const std::int64_t s0 = tracing ? obs::tracer().now_us() : 0;
         const auto t0 = std::chrono::steady_clock::now();
-        results[idx].mask = runner->run_batch(work.planned.subspan(lo, n));
+        results[idx].mask = runner->run_batch(faults);
         results[idx].seconds = seconds_since(t0);
         if (obs::metrics().enabled())
           obs::metrics()
@@ -237,40 +236,25 @@ std::string shard_request_to_json(const ShardWork& work,
                                   std::span<const std::uint32_t> shards,
                                   const ShardRequestFlags& flags) {
   // Written as text, not built as a Json tree: a full-universe request
-  // carries two O(targets) arrays (plan order, targets), and one Json
-  // node per element costs ~25x the wire bytes in transient memory.
-  // The bytes are exactly what Json::dump() gives for the same document.
-  const BatchPlan& plan = work.plan;
+  // carries an O(targets) array, and one Json node per element costs
+  // ~25x the wire bytes in transient memory. The bytes are exactly what
+  // Json::dump() gives for the same document.
   std::string out;
-  out.reserve(1024 + 8 * (plan.order.size() + work.targets.size() +
-                          plan.batches() + shards.size()));
+  out.reserve(1024 + 8 * (work.targets.size() + shards.size()));
   out += "{\"type\":\"grade\",\"protocol\":";
   out += std::to_string(kWorkerProtocolVersion);
   out += ",\"test\":" + Json(work.test.name).dump();
   out += ",\"fault_model\":" +
          Json(std::string(fault_model_name(work.fault_model))).dump();
   out += ",\"spec\":" + work.test.spec.dump();
-  // The default width stays implicit so width-64 requests are readable by
-  // pre-width workers unchanged.
+  // The default width stays implicit (absent = 64).
   if (work.lane_width != 64)
     out += ",\"lanes\":" + std::to_string(work.lane_width);
-  // The plan in batch_plan_to_json(plan, "wire") form.
-  out += ",\"plan\":{\"policy\":\"wire\",\"targets\":";
-  out += std::to_string(plan.order.size());
-  out += ",\"batches\":" + std::to_string(plan.batches());
-  out += ",\"order\":";
-  append_uint_array(out, plan.order);
-  out += ",\"batch_sizes\":[";
-  for (std::size_t b = 0; b < plan.batches(); ++b) {
-    if (b) out += ',';
-    out += std::to_string(plan.batch_size(b));
-  }
-  out += "]},\"targets\":";
+  out += ",\"batch_size\":" + std::to_string(work.batch_size);
+  out += ",\"targets\":";
   append_uint_array(out, work.targets);
   out += ",\"shards\":";
   append_uint_array(out, shards);
-  if (flags.dynamic) out += ",\"dynamic\":true";
-  if (flags.heartbeat) out += ",\"heartbeat\":true";
   if (flags.telemetry) out += ",\"telemetry\":true";
   out += '}';
   return out;
@@ -286,29 +270,32 @@ ShardRequest shard_request_from_json(const Json& doc) {
   ShardRequest req;
   req.test = doc.at("test").as_string();
   req.telemetry = doc.contains("telemetry") && doc.at("telemetry").as_bool();
-  req.dynamic = doc.contains("dynamic") && doc.at("dynamic").as_bool();
-  req.heartbeat = doc.contains("heartbeat") && doc.at("heartbeat").as_bool();
   req.fault_model = fault_model_from_name(doc.at("fault_model"));
   req.spec = doc.at("spec");
-  if (doc.contains("lanes")) {  // absent = 64, the pre-width protocol
+  if (doc.contains("lanes")) {  // absent = 64
     const Json& lanes = doc.at("lanes");
     req.lanes = lanes.as_int();
     if (req.lanes != 64 && req.lanes != 128 && req.lanes != 256)
       throw JsonError("shard request: lanes must be 64, 128 or 256",
                       lanes.source_offset());
     // A request wider than this build instantiates is deterministic
-    // misconfiguration — refuse it before touching the plan, mirroring
+    // misconfiguration — refuse it before grading anything, mirroring
     // the coordinator-side max_lanes check at hello.
     if (!lane_width_supported(req.lanes))
       throw JsonError("shard request: lanes exceed this worker's widest "
                       "kernel (" + std::to_string(kMaxLaneWidth) + ")",
                       lanes.source_offset());
   }
-  // The plan is validated against the request's width: a batch over
-  // lanes - 1 faults cannot be graded in one pass and must be refused,
-  // never truncated.
-  req.plan = batch_plan_from_json(
-      doc.at("plan"), static_cast<std::size_t>(req.lanes - 1));
+  // The batch size is validated against the request's width: a batch
+  // over lanes - 1 faults cannot be graded in one pass and must be
+  // refused, never truncated.
+  const Json& batch_size = doc.at("batch_size");
+  req.batch_size = batch_size.as_size();
+  if (req.batch_size == 0 ||
+      req.batch_size > static_cast<std::size_t>(req.lanes - 1))
+    throw JsonError("shard request: batch_size must be in [1, " +
+                        std::to_string(req.lanes - 1) + "]",
+                    batch_size.source_offset());
   const Json& targets = doc.at("targets");
   req.targets.reserve(targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
@@ -319,24 +306,16 @@ ShardRequest shard_request_from_json(const Json& doc) {
                       node.source_offset());
     req.targets.push_back(static_cast<FaultId>(f));
   }
-  if (req.plan.order.size() != req.targets.size())
-    throw JsonError("shard request: plan does not cover the targets",
-                    doc.at("plan").source_offset());
   const Json& shards = doc.at("shards");
   req.shards.reserve(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const Json& node = shards.at(i);
     const std::size_t s = node.as_size();
-    if (s >= req.plan.batches())
-      throw JsonError("shard request: shard id out of plan range",
+    if (s >= req.shard_count())
+      throw JsonError("shard request: shard id past the last span",
                       node.source_offset());
     req.shards.push_back(static_cast<std::uint32_t>(s));
   }
-  // Gather once here (the plan is validated above, inside
-  // batch_plan_from_json): every consumer grades plan-ordered spans.
-  req.planned.resize(req.targets.size());
-  for (std::size_t i = 0; i < req.targets.size(); ++i)
-    req.planned[i] = req.targets[req.plan.order[i]];
   return req;
 }
 
@@ -439,12 +418,10 @@ int serve_worker(std::FILE* in, std::FILE* out, WorkerWorkload& workload,
   // it owes, which is exactly the in-flight state recovery must re-queue.
   const auto grade_one = [&](const ShardRequest& req,
                              std::uint32_t shard) -> bool {
-    if (req.heartbeat) {
-      Json hb = Json::object();
-      hb.set("type", "heartbeat");
-      hb.set("shard", static_cast<std::size_t>(shard));
-      if (!write_line(out, hb)) return false;
-    }
+    Json hb = Json::object();
+    hb.set("type", "heartbeat");
+    hb.set("shard", static_cast<std::size_t>(shard));
+    if (!write_line(out, hb)) return false;
     ++shards_started;
     if (chaos_armed && shards_started == chaos->shard) {
       switch (chaos->mode) {
@@ -471,21 +448,19 @@ int serve_worker(std::FILE* in, std::FILE* out, WorkerWorkload& workload,
           break;
       }
     }
-    const std::size_t lo = req.plan.batch_start[shard];
-    const std::size_t n = req.plan.batch_size(shard);
-    auto shard_span = obs::tracer().span("shard", "worker");
-    shard_span.arg("shard", Json(static_cast<std::size_t>(shard)));
-    shard_span.arg("test", Json(req.test));
-    shard_span.arg("faults", Json(n));
+    const std::span<const FaultId> faults = req.shard_faults(shard);
+    auto span = obs::tracer().span("shard", "worker");
+    span.arg("shard", Json(static_cast<std::size_t>(shard)));
+    span.arg("test", Json(req.test));
+    span.arg("faults", Json(faults.size()));
     const auto t0 = std::chrono::steady_clock::now();
-    const LaneMask mask =
-        workload.run_batch(req, std::span(req.planned).subspan(lo, n));
+    const LaneMask mask = workload.run_batch(req, faults);
     Json reply = Json::object();
     reply.set("type", "shard");
     reply.set("shard", static_cast<std::size_t>(shard));
     reply.set("mask", lane_mask_to_json(mask));
     reply.set("seconds", seconds_since(t0));
-    shard_span.end();
+    span.end();
     return write_line(out, reply);
   };
 
@@ -502,38 +477,35 @@ int serve_worker(std::FILE* in, std::FILE* out, WorkerWorkload& workload,
       }
       // Fingerprinting first forces the workload's one-time state rebuild
       // (netlist, reference trace) before any shard is timed: the
-      // per-shard seconds are the adaptive scheduler's profile input and
-      // must measure grading, not setup.
+      // per-shard seconds must measure grading, not setup.
       auto rebuild_span = obs::tracer().span("rebuild_state", "worker");
       rebuild_span.arg("test", Json(req.test));
       const std::uint64_t state_fp = workload.state_fingerprint(req);
       rebuild_span.end();
       for (std::uint32_t shard : req.shards)
         if (!grade_one(req, shard)) return 1;
-      if (req.dynamic) {
-        // Pull dispatch: keep draining grant lines until the final one.
-        // EOF here is a coordinator gone mid-request — clean shutdown,
-        // same as EOF between requests.
-        bool final_grant = false;
-        while (!final_grant) {
-          if (!read_line(in, line)) return 0;
-          if (line.find_first_not_of(" \t") == std::string::npos) continue;
-          const Json grant = Json::parse(line);
-          const std::string gtype = grant.at("type").as_string();
-          if (gtype != "grant")
-            throw JsonError("worker: expected a grant, got '" + gtype + "'",
-                            grant.at("type").source_offset());
-          const Json& granted = grant.at("shards");
-          for (std::size_t i = 0; i < granted.size(); ++i) {
-            const Json& node = granted.at(i);
-            const std::size_t s = node.as_size();
-            if (s >= req.plan.batches())
-              throw JsonError("grant: shard id out of plan range",
-                              node.source_offset());
-            if (!grade_one(req, static_cast<std::uint32_t>(s))) return 1;
-          }
-          final_grant = grant.contains("final") && grant.at("final").as_bool();
+      // Pull dispatch: keep draining grant lines until the final one.
+      // EOF here is a coordinator gone mid-request — clean shutdown, same
+      // as EOF between requests.
+      bool final_grant = false;
+      while (!final_grant) {
+        if (!read_line(in, line)) return 0;
+        if (line.find_first_not_of(" \t") == std::string::npos) continue;
+        const Json grant = Json::parse(line);
+        const std::string gtype = grant.at("type").as_string();
+        if (gtype != "grant")
+          throw JsonError("worker: expected a grant, got '" + gtype + "'",
+                          grant.at("type").source_offset());
+        const Json& granted = grant.at("shards");
+        for (std::size_t i = 0; i < granted.size(); ++i) {
+          const Json& node = granted.at(i);
+          const std::size_t s = node.as_size();
+          if (s >= req.shard_count())
+            throw JsonError("grant: shard id past the last span",
+                            node.source_offset());
+          if (!grade_one(req, static_cast<std::uint32_t>(s))) return 1;
         }
+        final_grant = grant.contains("final") && grant.at("final").as_bool();
       }
       Json done = Json::object();
       done.set("type", "done");
@@ -798,7 +770,7 @@ void SubprocessExecutor::fail_worker(std::size_t i, const std::string& what,
 void SubprocessExecutor::fatal(std::size_t worker, const std::string& what) {
   // Deterministic misconfiguration (wrong binary, drifted state, a
   // worker's own error reply): retrying would fail identically, so this
-  // path keeps v1's semantics — tear down and throw.
+  // path tears down and throws.
   const std::string tail =
       worker < procs_.size() ? stderr_tail(worker) : std::string();
   shutdown_all();
@@ -883,9 +855,7 @@ std::vector<ShardResult> SubprocessExecutor::execute(const ShardWork& work) {
   const std::string preamble =
       shard_request_to_json(
           work, {},
-          {.dynamic = true,
-           .heartbeat = true,
-           .telemetry = obs::tracer().enabled() || obs::metrics().enabled()}) +
+          {.telemetry = obs::tracer().enabled() || obs::metrics().enabled()}) +
       "\n";
   std::string done_fp;  // first worker's state_fp; siblings must agree
 
@@ -894,8 +864,7 @@ std::vector<ShardResult> SubprocessExecutor::execute(const ShardWork& work) {
   };
   // Every greeted worker gets the preamble, granted work or not: it
   // rebuilds state and replies done, so fingerprint cross-checks (and
-  // telemetry lanes) cover the whole fleet exactly as v1's static
-  // striping did.
+  // telemetry lanes) cover the whole fleet.
   const auto send_preamble = [&](std::size_t i) {
     Worker& w = procs_[i];
     if (w.preamble_sent) return true;
@@ -940,11 +909,11 @@ std::vector<ShardResult> SubprocessExecutor::execute(const ShardWork& work) {
           w.clock_offset_us =
               obs::tracer().now_us() -
               static_cast<std::int64_t>(reply.at("ts_us").as_number());
-        // Widest kernel the worker binary instantiates (absent = 64, the
-        // pre-width protocol). A worker too narrow for this campaign's
-        // lane width is deterministic misconfiguration — every respawn
-        // of the same binary would fail the same way, so reject the
-        // fleet now, exactly like a universe-size mismatch.
+        // Widest kernel the worker binary instantiates (absent = 64). A
+        // worker too narrow for this campaign's lane width is
+        // deterministic misconfiguration — every respawn of the same
+        // binary would fail the same way, so reject the fleet now,
+        // exactly like a universe-size mismatch.
         w.max_lanes = reply.contains("max_lanes")
                           ? reply.at("max_lanes").as_int()
                           : 64;
@@ -1010,7 +979,7 @@ std::vector<ShardResult> SubprocessExecutor::execute(const ShardWork& work) {
         w.deadline_armed = false;
       else
         w.deadline = Clock::now() + duration_from_seconds(timeout);
-      if (work.progress) work.progress(work.plan.batch_size(shard));
+      if (work.progress) work.progress(work.shard_faults(shard).size());
       return;
     }
     if (type == "done") {
@@ -1142,9 +1111,8 @@ std::vector<ShardResult> SubprocessExecutor::execute(const ShardWork& work) {
       auto span = obs::tracer().span("degrade", "executor");
       span.arg("shards", Json(remaining.size()));
       if (!fallback_) fallback_ = std::make_unique<InProcessExecutor>(0);
-      const ShardWork sub{work.plan,
-                          work.targets,
-                          work.planned,
+      const ShardWork sub{work.targets,
+                          work.batch_size,
                           std::span<const std::uint32_t>(remaining),
                           work.test,
                           work.fault_model,

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <queue>
+#include <stdexcept>
+#include <string>
 
 #include "util/strings.hpp"
 
@@ -66,9 +68,22 @@ CellId Netlist::add_output(std::string_view port_name, NetId net) {
   return cell;
 }
 
+namespace {
+
+/// Throws std::out_of_range unless `input_pin` indexes `c.ins`.
+void check_input_pin(const Cell& c, int input_pin, const char* what) {
+  if (input_pin < 0 || input_pin >= static_cast<int>(c.ins.size()))
+    throw std::out_of_range(std::string(what) + ": cell '" + c.name +
+                            "' has no input index " +
+                            std::to_string(input_pin) + " (it has " +
+                            std::to_string(c.ins.size()) + ")");
+}
+
+}  // namespace
+
 void Netlist::connect_input(CellId cell, int input_pin, NetId net) {
   Cell& c = cells_[cell];
-  assert(input_pin >= 0 && input_pin < static_cast<int>(c.ins.size()));
+  check_input_pin(c, input_pin, "connect_input");
   assert(c.ins[input_pin] == kInvalidId && "pin already connected");
   c.ins[input_pin] = net;
   nets_[net].fanout.push_back({cell, static_cast<std::uint8_t>(input_pin + 1)});
@@ -76,7 +91,7 @@ void Netlist::connect_input(CellId cell, int input_pin, NetId net) {
 
 void Netlist::rewire_input(CellId cell, int input_pin, NetId new_net) {
   Cell& c = cells_[cell];
-  assert(input_pin >= 0 && input_pin < static_cast<int>(c.ins.size()));
+  check_input_pin(c, input_pin, "rewire_input");
   const NetId old_net = c.ins[input_pin];
   if (old_net == new_net) return;
   if (old_net != kInvalidId) {

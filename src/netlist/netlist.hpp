@@ -90,12 +90,14 @@ class Netlist {
   /// Declares a top-level output port reading `net`.
   CellId add_output(std::string_view port_name, NetId net);
 
+  /// Connects input `input_pin` (an index into the cell's ins) to `net`.
+  /// Throws std::out_of_range naming the cell for an index outside ins.
   void connect_input(CellId cell, int input_pin, NetId net);
 
   /// Rewires input `input_pin` of `cell` (an index into its ins, so pin
   /// input_pin + 1) from its current net to `new_net`, updating both
-  /// fanout lists. Used by the scan / debug
-  /// insertion passes.
+  /// fanout lists. Used by the scan / debug insertion passes. Throws
+  /// std::out_of_range naming the cell for an index outside ins.
   void rewire_input(CellId cell, int input_pin, NetId new_net);
 
   /// Replaces the driver of `net` with `new_driver` (whose `out` is updated).

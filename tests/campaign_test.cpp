@@ -16,7 +16,6 @@
 #include "campaign/executor.hpp"
 #include "campaign/json.hpp"
 #include "campaign/report.hpp"
-#include "campaign/scheduler.hpp"
 #include "campaign/shard_queue.hpp"
 #include "campaign/worker_pool.hpp"
 #include "fault/fault_list.hpp"
@@ -679,7 +678,7 @@ TEST(Campaign, ExceptionsCarryTestAndShardContext) {
       FAIL() << "runner exception swallowed at " << threads << " threads";
     } catch (const std::runtime_error& e) {
       const std::string msg = e.what();
-      // Fault 70 lands in shard 1 of the fixed 63-lane plan.
+      // Fault 70 lands in shard 1 of the 63-fault spans.
       EXPECT_NE(msg.find("campaign test 'explodes'"), std::string::npos) << msg;
       EXPECT_NE(msg.find("shard 1"), std::string::npos) << msg;
       EXPECT_NE(msg.find("boom"), std::string::npos) << msg;
@@ -690,10 +689,10 @@ TEST(Campaign, ExceptionsCarryTestAndShardContext) {
   }
 }
 
-TEST(Campaign, GradeEdgeCasesAcrossAllPolicies) {
+TEST(Campaign, GradeEdgeCases) {
   // Empty target list, a single-fault list, and targets == exactly one
-  // full batch, under every scheduling policy: same detections, and the
-  // one-batch shapes really plan one shard.
+  // full batch: same detections, and the one-batch shapes really run one
+  // shard.
   CounterRig rig;
   const FaultUniverse u(rig.nl);
   ASSERT_GE(u.size(), 63u);
@@ -701,40 +700,42 @@ TEST(Campaign, GradeEdgeCasesAcrossAllPolicies) {
   std::vector<FaultId> batch63(63);
   std::iota(batch63.begin(), batch63.end(), 0u);
 
-  const std::vector<std::shared_ptr<const BatchScheduler>> policies = {
-      nullptr, std::make_shared<const ConeScheduler>(u),
-      std::make_shared<const AdaptiveScheduler>()};
-  BitVec expect_single, expect_batch;
-  for (std::size_t p = 0; p < policies.size(); ++p) {
-    const CampaignEngine engine(u, {.threads = 2, .scheduler = policies[p]});
+  const CampaignEngine engine(u, {.threads = 2});
+  EXPECT_EQ(engine.grade({}, test).size(), 0u);
 
-    EXPECT_EQ(engine.grade({}, test).size(), 0u) << p;
+  std::vector<double> single_seconds;
+  const BitVec single =
+      engine.grade(std::span(batch63).first(1), test, {}, &single_seconds);
+  EXPECT_EQ(single_seconds.size(), 1u);
 
-    std::vector<double> single_seconds;
-    const BitVec single = engine.grade(std::span(batch63).first(1), test, {},
-                                       &single_seconds);
-    EXPECT_EQ(single_seconds.size(), 1u) << p;
-
-    std::vector<double> batch_seconds;
-    const BitVec full = engine.grade(batch63, test, {}, &batch_seconds);
-    EXPECT_EQ(batch_seconds.size(), 1u) << p;  // 63 targets = one shard
-    EXPECT_EQ(full.get(0), single.get(0)) << p;
-
-    if (p == 0) {
-      expect_single = single;
-      expect_batch = full;
-      EXPECT_GT(full.count(), 0u);
-    } else {
-      EXPECT_EQ(single, expect_single) << p;
-      EXPECT_EQ(full, expect_batch) << p;
-    }
-  }
+  std::vector<double> batch_seconds;
+  const BitVec full = engine.grade(batch63, test, {}, &batch_seconds);
+  EXPECT_EQ(batch_seconds.size(), 1u);  // 63 targets = one shard
+  EXPECT_EQ(full.get(0), single.get(0));
+  EXPECT_GT(full.count(), 0u);
 }
 
-TEST(Campaign, TinyUniverseRunsIdenticallyUnderEveryPolicy) {
-  // A universe far smaller than one batch: run() must behave across all
-  // policies and thread counts (the degenerate end of the sharding
-  // spectrum, where every plan collapses to a single shard per test).
+TEST(ShardSpan, TilesTargetsInContiguousBatches) {
+  // Shard b is targets[b * batch_size, min((b + 1) * batch_size, n)).
+  std::vector<FaultId> targets(10);
+  std::iota(targets.begin(), targets.end(), 100u);
+  EXPECT_EQ(shard_count(10, 3), 4u);
+  std::vector<FaultId> tiled;
+  for (std::size_t b = 0; b < shard_count(10, 3); ++b) {
+    const std::span<const FaultId> span = shard_span(targets, 3, b);
+    EXPECT_EQ(span.size(), b < 3 ? 3u : 1u) << b;
+    tiled.insert(tiled.end(), span.begin(), span.end());
+  }
+  EXPECT_EQ(tiled, targets);
+  EXPECT_EQ(shard_count(0, 63), 0u);
+  EXPECT_EQ(shard_count(63, 63), 1u);
+  EXPECT_EQ(shard_count(64, 63), 2u);
+}
+
+TEST(Campaign, TinyUniverseRunsIdenticallyAcrossThreads) {
+  // A universe far smaller than one batch: run() must behave across
+  // thread counts (the degenerate end of the sharding spectrum, where
+  // every test is a single shard).
   Netlist nl("t");
   WordOps w(nl, "m");
   const NetId a = nl.add_input("a");
@@ -753,26 +754,18 @@ TEST(Campaign, TinyUniverseRunsIdenticallyUnderEveryPolicy) {
 
   CampaignResult first;
   bool have_first = false;
-  for (const auto& policy :
-       {std::shared_ptr<const BatchScheduler>{},
-        std::shared_ptr<const BatchScheduler>{
-            std::make_shared<const ConeScheduler>(u)},
-        std::shared_ptr<const BatchScheduler>{
-            std::make_shared<const AdaptiveScheduler>()}}) {
-    for (const int threads : {1, 2}) {
-      FaultList fl(u);
-      const CampaignResult r =
-          CampaignEngine(u, {.threads = threads, .scheduler = policy})
-              .run(fl, tests);
-      EXPECT_EQ(r.tests.at(0).batches, 1u);
-      EXPECT_GT(r.total_new_detections, 0u);
-      if (!have_first) {
-        first = r;
-        have_first = true;
-      } else {
-        EXPECT_EQ(r, first);
-        EXPECT_EQ(r.detected, first.detected);
-      }
+  for (const int threads : {1, 2}) {
+    FaultList fl(u);
+    const CampaignResult r =
+        CampaignEngine(u, {.threads = threads}).run(fl, tests);
+    EXPECT_EQ(r.tests.at(0).batches, 1u);
+    EXPECT_GT(r.total_new_detections, 0u);
+    if (!have_first) {
+      first = r;
+      have_first = true;
+    } else {
+      EXPECT_EQ(r, first);
+      EXPECT_EQ(r.detected, first.detected);
     }
   }
 }
@@ -781,43 +774,42 @@ TEST(Campaign, TinyUniverseRunsIdenticallyUnderEveryPolicy) {
 // Worker protocol (campaign/executor.hpp)
 
 TEST(WorkerProtocol, RequestRoundTripsAndValidates) {
-  BatchPlan plan;
-  plan.order = {3, 2, 1, 0};
-  plan.batch_start = {0, 2, 4};
   const std::vector<FaultId> targets{10, 11, 12, 13};
   const std::vector<std::uint32_t> shards{1};
   CampaignTest test;
   test.name = "t";
   test.spec = Json::object();
   test.spec.set("marker", 42);
-  const ShardWork work{plan,  targets,  targets, shards,
-                       test,  FaultModel::kTransition, 99, {}};
+  const ShardWork work{targets, 2, shards, test, FaultModel::kTransition,
+                       99,      {}};
 
   const Json doc = Json::parse(shard_request_to_json(work, work.shards));
   const ShardRequest req = shard_request_from_json(doc);
   EXPECT_EQ(req.test, "t");
   EXPECT_EQ(req.fault_model, FaultModel::kTransition);
   EXPECT_EQ(req.spec.at("marker").as_int(), 42);
-  EXPECT_EQ(req.plan.order, plan.order);
-  EXPECT_EQ(req.plan.batch_start, plan.batch_start);
+  EXPECT_EQ(req.batch_size, 2u);
   EXPECT_EQ(req.targets, targets);
   EXPECT_EQ(req.shards, shards);
-  // Gathered on import: planned[i] = targets[order[i]].
-  EXPECT_EQ(req.planned, (std::vector<FaultId>{13, 12, 11, 10}));
+  EXPECT_EQ(req.shard_count(), 2u);
+  // Shard 1 is the second contiguous span.
+  const std::span<const FaultId> span = req.shard_faults(1);
+  EXPECT_EQ(std::vector<FaultId>(span.begin(), span.end()),
+            (std::vector<FaultId>{12, 13}));
 
   {  // protocol version mismatches are rejected, not guessed at
     Json bad = doc;
     bad.set("protocol", kWorkerProtocolVersion + 1);
     EXPECT_THROW(shard_request_from_json(bad), JsonError);
   }
-  {  // shard ids outside the plan are rejected
+  {  // shard ids past the last span are rejected
     Json bad = doc;
     Json ids = Json::array();
     ids.push_back(std::size_t{7});
     bad.set("shards", std::move(ids));
     EXPECT_THROW(shard_request_from_json(bad), JsonError);
   }
-  {  // a plan that does not cover the targets is rejected
+  {  // fewer targets shrink the span count: shard 1 no longer exists
     Json bad = doc;
     Json few = Json::array();
     few.push_back(std::size_t{10});
@@ -830,28 +822,21 @@ TEST(WorkerProtocol, RequestWireBytesArePinned) {
   // The coordinator writes requests as text; these are the exact bytes
   // Json::dump() gives for the same documents, so workers (and any
   // recorded wire traffic) see no change.
-  BatchPlan plan;
-  plan.order = {3, 2, 1, 0};
-  plan.batch_start = {0, 2, 4};
   const std::vector<FaultId> targets{10, 11, 12, 13};
   const std::vector<std::uint32_t> shards{1};
   CampaignTest test;
   test.name = "t\"q";
   test.spec = Json::object();
   test.spec.set("marker", 42);
-  ShardWork work{plan, targets, targets, shards,
-                 test, FaultModel::kTransition, 99, {}};
+  ShardWork work{targets, 2, shards, test, FaultModel::kTransition, 99, {}};
   work.lane_width = 128;
   const std::string body =
-      R"({"type":"grade","protocol":2,"test":"t\"q","fault_model":)"
-      R"("transition","spec":{"marker":42},"lanes":128,"plan":{"policy":)"
-      R"("wire","targets":4,"batches":2,"order":[3,2,1,0],"batch_sizes":)"
-      R"([2,2]},"targets":[10,11,12,13],"shards":)";
+      R"({"type":"grade","protocol":3,"test":"t\"q","fault_model":)"
+      R"("transition","spec":{"marker":42},"lanes":128,"batch_size":2,)"
+      R"("targets":[10,11,12,13],"shards":)";
   EXPECT_EQ(shard_request_to_json(work, work.shards), body + "[1]}");
-  EXPECT_EQ(shard_request_to_json(
-                work, {},
-                {.dynamic = true, .heartbeat = true, .telemetry = true}),
-            body + R"([],"dynamic":true,"heartbeat":true,"telemetry":true})");
+  EXPECT_EQ(shard_request_to_json(work, {}, {.telemetry = true}),
+            body + R"([],"telemetry":true})");
   // Width 64 stays implicit.
   work.lane_width = 64;
   EXPECT_EQ(shard_request_to_json(work, work.shards).find("\"lanes\""),
@@ -860,25 +845,19 @@ TEST(WorkerProtocol, RequestWireBytesArePinned) {
 
 TEST(WorkerProtocol, FullUniverseRequestRoundTrips) {
   // A full-configuration request: every fault of the 60,520-fault SoC
-  // universe, 255-fault shards, a scrambled plan order.
+  // universe in 255-fault shards.
   constexpr std::size_t kTargets = 60'520;
-  BatchPlan plan = BatchPlan::fixed(kTargets, 255);
-  for (std::size_t i = 0; i < kTargets; ++i)
-    plan.order[i] = static_cast<std::uint32_t>((i * 7919) % kTargets);
   std::vector<FaultId> targets(kTargets);
   for (std::size_t i = 0; i < kTargets; ++i)
     targets[i] = static_cast<FaultId>(3 * i + 1);
-  std::vector<FaultId> planned(kTargets);
-  for (std::size_t i = 0; i < kTargets; ++i)
-    planned[i] = targets[plan.order[i]];
-  std::vector<std::uint32_t> shards(plan.batches());
+  std::vector<std::uint32_t> shards(shard_count(kTargets, 255));
   std::iota(shards.begin(), shards.end(), 0u);
   CampaignTest test;
   test.name = "mul";
   test.spec = Json::object();
   test.spec.set("workload", "sbst");
-  ShardWork work{plan, targets, planned, shards,
-                 test, FaultModel::kStuckAt, 3 * kTargets, {}};
+  ShardWork work{targets, 255, shards, test, FaultModel::kStuckAt,
+                 3 * kTargets, {}};
   work.lane_width = 256;
 
   const std::string line = shard_request_to_json(work, work.shards);
@@ -889,11 +868,11 @@ TEST(WorkerProtocol, FullUniverseRequestRoundTrips) {
   EXPECT_EQ(req.fault_model, FaultModel::kStuckAt);
   EXPECT_EQ(req.lanes, 256);
   EXPECT_EQ(req.spec.at("workload").as_string(), "sbst");
-  EXPECT_EQ(req.plan.order, plan.order);
-  EXPECT_EQ(req.plan.batch_start, plan.batch_start);
+  EXPECT_EQ(req.batch_size, 255u);
   EXPECT_EQ(req.targets, targets);
   EXPECT_EQ(req.shards, shards);
-  EXPECT_EQ(req.planned, planned);
+  EXPECT_EQ(req.shard_count(), 238u);  // 237 full spans + 85 left over
+  EXPECT_EQ(req.shard_faults(237).size(), 85u);
 }
 
 /// Grades "fault id is odd" and reports a fixed state fingerprint — just
@@ -935,32 +914,40 @@ std::vector<Json> run_serve_worker(const std::string& input, int expect_exit) {
 }
 
 TEST(WorkerProtocol, ServeWorkerGradesRequestedShardsOnly) {
-  BatchPlan plan = BatchPlan::fixed(10, 4);  // shards of 4/4/2
   std::vector<FaultId> targets(10);
   std::iota(targets.begin(), targets.end(), 100u);
-  const std::vector<std::uint32_t> shards{2, 0};  // shard 1 is not ours
+  const std::vector<std::uint32_t> first{2};  // shards of 4/4/2
   CampaignTest test;
   test.name = "parity";
   test.spec = Json::object();
-  const ShardWork work{plan, targets, targets, shards,
-                       test, FaultModel::kStuckAt, 77, {}};
+  const ShardWork work{targets, 4, first, test, FaultModel::kStuckAt, 77, {}};
 
-  const std::vector<Json> lines =
-      run_serve_worker(shard_request_to_json(work, work.shards) + "\n", 0);
-  ASSERT_EQ(lines.size(), 4u);  // hello, 2 shards, done
+  // Initial grant {2}, one more grant {0}, then the final grant: shard 1
+  // is never ours.
+  const std::vector<Json> lines = run_serve_worker(
+      shard_request_to_json(work, work.shards) + "\n" +
+          R"({"type":"grant","shards":[0]})" + "\n" +
+          R"({"type":"grant","shards":[],"final":true})" + "\n",
+      0);
+  ASSERT_EQ(lines.size(), 6u);  // hello, 2 x (heartbeat, shard), done
   EXPECT_EQ(lines[0].at("type").as_string(), "hello");
   EXPECT_EQ(lines[0].at("protocol").as_int(), kWorkerProtocolVersion);
-  // Replies come in request order (2 then 0), slot-tagged by shard id.
-  EXPECT_EQ(lines[1].at("type").as_string(), "shard");
+  // Replies come in grant order (2 then 0), each announced by a
+  // heartbeat and slot-tagged by shard id.
+  EXPECT_EQ(lines[1].at("type").as_string(), "heartbeat");
   EXPECT_EQ(lines[1].at("shard").as_size(), 2u);
+  EXPECT_EQ(lines[2].at("type").as_string(), "shard");
+  EXPECT_EQ(lines[2].at("shard").as_size(), 2u);
   // Shard 2 grades targets {108, 109}: odd ids detect -> lane 1 only.
-  EXPECT_EQ(lane_mask_from_json(lines[1].at("mask")), LaneMask(0x2ull));
-  EXPECT_EQ(lines[2].at("shard").as_size(), 0u);
+  EXPECT_EQ(lane_mask_from_json(lines[2].at("mask")), LaneMask(0x2ull));
+  EXPECT_EQ(lines[3].at("type").as_string(), "heartbeat");
+  EXPECT_EQ(lines[3].at("shard").as_size(), 0u);
+  EXPECT_EQ(lines[4].at("shard").as_size(), 0u);
   // Shard 0 grades {100..103}: odd lanes 1 and 3.
-  EXPECT_EQ(lane_mask_from_json(lines[2].at("mask")), LaneMask(0xAull));
-  EXPECT_EQ(lines[3].at("type").as_string(), "done");
-  EXPECT_EQ(lines[3].at("universe").as_size(), 77u);
-  EXPECT_EQ(word_from_hex(lines[3].at("state_fp").as_string()), 0xfeedfaceull);
+  EXPECT_EQ(lane_mask_from_json(lines[4].at("mask")), LaneMask(0xAull));
+  EXPECT_EQ(lines[5].at("type").as_string(), "done");
+  EXPECT_EQ(lines[5].at("universe").as_size(), 77u);
+  EXPECT_EQ(word_from_hex(lines[5].at("state_fp").as_string()), 0xfeedfaceull);
 }
 
 TEST(WorkerProtocol, ServeWorkerAnswersMalformedRequestsWithError) {
@@ -976,13 +963,11 @@ TEST(WorkerProtocol, ServeWorkerAnswersMalformedRequestsWithError) {
 
 TEST(SubprocessExecutor, RejectsTestsWithoutASpec) {
   SubprocessExecutor exec({"/bin/true"}, 1);
-  const BatchPlan plan = BatchPlan::fixed(2, 2);
   const std::vector<FaultId> targets{0, 1};
   const std::vector<std::uint32_t> shards{0};
   CampaignTest test;
   test.name = "local_only";  // spec left null
-  const ShardWork work{plan, targets, targets, shards,
-                       test, FaultModel::kStuckAt, 2, {}};
+  const ShardWork work{targets, 2, shards, test, FaultModel::kStuckAt, 2, {}};
   try {
     exec.execute(work);
     FAIL() << "null-spec test must not reach a remote worker";
@@ -999,16 +984,14 @@ TEST(SubprocessExecutor, KilledWorkerIsDetectedAndReported) {
   // silently dropped.
   SubprocessExecutor exec(
       {"/bin/sh", "-c",
-       "printf '{\"type\":\"hello\",\"protocol\":2}\\n'; read -r line; exit 7"},
+       "printf '{\"type\":\"hello\",\"protocol\":3}\\n'; read -r line; exit 7"},
       FleetOptions{.workers = 1, .max_respawns = 0});
-  const BatchPlan plan = BatchPlan::fixed(4, 2);
   const std::vector<FaultId> targets{0, 1, 2, 3};
   const std::vector<std::uint32_t> shards{0, 1};
   CampaignTest test;
   test.name = "sbst_prog";
   test.spec = Json::object();
-  const ShardWork work{plan, targets, targets, shards,
-                       test, FaultModel::kStuckAt, 4, {}};
+  const ShardWork work{targets, 2, shards, test, FaultModel::kStuckAt, 4, {}};
   try {
     exec.execute(work);
     FAIL() << "a dead worker's shards must throw";
@@ -1028,19 +1011,17 @@ TEST(SubprocessExecutor, CrashedWorkerStderrLandsInTheError) {
   // report) instead of just an exit status.
   SubprocessExecutor exec(
       {"/bin/sh", "-c",
-       "printf '{\"type\":\"hello\",\"protocol\":2}\\n';"
+       "printf '{\"type\":\"hello\",\"protocol\":3}\\n';"
        " echo 'scratch line' >&2;"
        " echo 'fatal: reference trace fingerprint torched' >&2;"
        " read -r line; exit 9"},
       FleetOptions{.workers = 1, .max_respawns = 0});
-  const BatchPlan plan = BatchPlan::fixed(4, 2);
   const std::vector<FaultId> targets{0, 1, 2, 3};
   const std::vector<std::uint32_t> shards{0, 1};
   CampaignTest test;
   test.name = "sbst_prog";
   test.spec = Json::object();
-  const ShardWork work{plan, targets, targets, shards,
-                       test, FaultModel::kStuckAt, 4, {}};
+  const ShardWork work{targets, 2, shards, test, FaultModel::kStuckAt, 4, {}};
   try {
     exec.execute(work);
     FAIL() << "a dead worker's shards must throw";
@@ -1058,14 +1039,12 @@ TEST(SubprocessExecutor, CrashedWorkerStderrLandsInTheError) {
 TEST(SubprocessExecutor, WorkerWithoutHelloFailsTheHandshake) {
   SubprocessExecutor exec({"/bin/true"},
                           FleetOptions{.workers = 1, .max_respawns = 0});
-  const BatchPlan plan = BatchPlan::fixed(2, 2);
   const std::vector<FaultId> targets{0, 1};
   const std::vector<std::uint32_t> shards{0};
   CampaignTest test;
   test.name = "t";
   test.spec = Json::object();
-  const ShardWork work{plan, targets, targets, shards,
-                       test, FaultModel::kStuckAt, 2, {}};
+  const ShardWork work{targets, 2, shards, test, FaultModel::kStuckAt, 2, {}};
   try {
     exec.execute(work);
     FAIL() << "helloless worker must fail the handshake";
@@ -1078,8 +1057,8 @@ TEST(SubprocessExecutor, WorkerWithoutHelloFailsTheHandshake) {
 TEST(SubprocessExecutor, BitIdenticalToInProcessOnSbstWorkload) {
   // The acceptance check: coordinator + subprocess workers produce the
   // same detection BitVec and the same deterministic CampaignResult JSON
-  // as the in-process pool on the SBST workload, for 1 and 2 workers
-  // under the fixed and cone policies.
+  // as the in-process pool on the SBST workload, for 1 and 2 workers at
+  // 64 lanes and the default width.
   if (::access("./olfui_cli", X_OK) != 0)
     GTEST_SKIP() << "./olfui_cli not in the working directory";
   const std::vector<std::string> worker_cmd{"./olfui_cli", "--worker"};
@@ -1099,37 +1078,28 @@ TEST(SubprocessExecutor, BitIdenticalToInProcessOnSbstWorkload) {
 
   const auto exec1 = std::make_shared<SubprocessExecutor>(worker_cmd, 1);
   const auto exec2 = std::make_shared<SubprocessExecutor>(worker_cmd, 2);
-  const std::vector<std::shared_ptr<const BatchScheduler>> policies = {
-      nullptr, std::make_shared<const ConeScheduler>(u),
-      std::make_shared<const AdaptiveScheduler>()};
 
-  for (const int lanes : {64, kMaxLaneWidth})
-  for (const auto& policy : policies) {
+  for (const int lanes : {64, kMaxLaneWidth}) {
     // grade(): empty, single-fault, one-full-batch, and multi-shard
     // target lists (the executor-side edge cases).
-    const CampaignEngine inproc(
-        u, {.threads = 2, .lane_width = lanes, .scheduler = policy});
+    const CampaignEngine inproc(u, {.threads = 2, .lane_width = lanes});
     for (const std::size_t n :
          {std::size_t{0}, std::size_t{1},
           static_cast<std::size_t>(lanes - 1), slice.size()}) {
       const auto targets = std::span(slice).first(n);
       const BitVec expect = inproc.grade(targets, tests[0]);
       for (const auto& exec : {exec1, exec2}) {
-        CampaignOptions o{.threads = 2,
-                          .lane_width = lanes,
-                          .scheduler = policy,
-                          .executor = exec};
+        CampaignOptions o{.threads = 2, .lane_width = lanes, .executor = exec};
         const BitVec got = CampaignEngine(u, o).grade(targets, tests[0]);
-        EXPECT_EQ(got, expect)
-            << "policy " << (policy ? policy->name() : "fixed") << " workers "
-            << (exec == exec1 ? 1 : 2) << " n " << n << " lanes " << lanes;
+        EXPECT_EQ(got, expect) << "workers " << (exec == exec1 ? 1 : 2)
+                               << " n " << n << " lanes " << lanes;
       }
     }
 
     // run(): the merged result (and its deterministic JSON form) must be
     // byte-identical between executors.
-    CampaignOptions base{.threads = 2, .lane_width = lanes,
-                         .scheduler = policy, .target_limit = 200};
+    CampaignOptions base{
+        .threads = 2, .lane_width = lanes, .target_limit = 200};
     FaultList fl_in(u);
     const CampaignResult r_in = CampaignEngine(u, base).run(fl_in, tests);
     CampaignOptions sub = base;

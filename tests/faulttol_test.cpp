@@ -10,8 +10,11 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,7 +23,6 @@
 #include "campaign/executor.hpp"
 #include "campaign/json.hpp"
 #include "campaign/report.hpp"
-#include "campaign/scheduler.hpp"
 #include "cpu/soc.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/universe.hpp"
@@ -75,26 +77,25 @@ TEST(ShardRequestParsing, MalformedFieldErrorsPointIntoTheLine) {
   // the JsonError names an offset inside the line — a coordinator log
   // quoting "at offset N" must point at the offending bytes, not 0.
   std::vector<FaultId> targets{10, 11, 12, 13};
-  const BatchPlan plan = BatchPlan::fixed(targets.size(), 2);
-  std::vector<FaultId> planned(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i)
-    planned[i] = targets[plan.order[i]];
-  std::vector<std::uint32_t> shards(plan.batches());
+  std::vector<std::uint32_t> shards(shard_count(targets.size(), 2));
   std::iota(shards.begin(), shards.end(), 0u);
   CampaignTest test;
   test.name = "t";
   test.spec = Json::object();
-  const ShardWork work{plan,   targets, planned,
-                       shards, test,    FaultModel::kStuckAt,
-                       100,    {},      0};
+  const ShardWork work{targets, 2, shards, test, FaultModel::kStuckAt,
+                       100,     {}, 0};
   const std::string line = shard_request_to_json(work, work.shards);
 
   // The pristine line round-trips.
   const ShardRequest req = shard_request_from_json(Json::parse(line));
   EXPECT_EQ(req.test, "t");
-  EXPECT_EQ(req.planned, planned);
+  EXPECT_EQ(req.batch_size, 2u);
+  EXPECT_EQ(req.targets, targets);
 
-  const auto corrupt = [&](const std::string& from, const std::string& to) {
+  // `what`, when given, must appear in the error: a corruption can trip
+  // a later check, and the test must see the one it means.
+  const auto corrupt = [&](const std::string& from, const std::string& to,
+                           const std::string& what = "") {
     std::string s = line;
     const auto pos = s.find(from);
     ASSERT_NE(pos, std::string::npos) << from;
@@ -104,10 +105,68 @@ TEST(ShardRequestParsing, MalformedFieldErrorsPointIntoTheLine) {
       FAIL() << "corruption " << from << " -> " << to << " was accepted";
     } catch (const JsonError& e) {
       EXPECT_GT(e.offset(), 0u) << e.what();
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
     }
   };
   corrupt("\"stuck_at\"", "\"bogus_model\"");  // unknown enum value
   corrupt("\"test\":\"t\"", "\"test\":42");    // type mismatch
+  // batch_size: missing (located at the request object itself, offset
+  // 0), zero, and wider than lanes - 1 (63 by default, 127 at
+  // "lanes":128).
+  {
+    std::string s = line;
+    s.erase(s.find("\"batch_size\":2,"), std::string("\"batch_size\":2,").size());
+    try {
+      shard_request_from_json(Json::parse(s));
+      FAIL() << "a request without batch_size was accepted";
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find("missing key 'batch_size'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  corrupt("\"batch_size\":2", "\"batch_size\":0", "batch_size must be");
+  corrupt("\"batch_size\":2", "\"batch_size\":64", "batch_size must be");
+  corrupt("\"batch_size\":2", "\"lanes\":128,\"batch_size\":128",
+          "batch_size must be");
+  // Widths outside {64, 128, 256}, and any this build lacks, are refused.
+  corrupt("\"batch_size\":2", "\"lanes\":96,\"batch_size\":2", "lanes");
+  if (!lane_width_supported(256))
+    corrupt("\"batch_size\":2", "\"lanes\":256,\"batch_size\":2", "lanes");
+  // Shard and grant ids at or past ceil(4 / 2) = 2 name no span.
+  corrupt("\"shards\":[0,1]", "\"shards\":[0,2]", "past the last span");
+  corrupt("\"batch_size\":2", "\"batch_size\":4",  // shard 1 is gone
+          "past the last span");
+  std::string grant_error;
+  {
+    std::string in_buf = line + "\n" + R"({"type":"grant","shards":[2]})" + "\n";
+    std::FILE* in = fmemopen(in_buf.data(), in_buf.size(), "r");
+    char* out_buf = nullptr;
+    std::size_t out_len = 0;
+    std::FILE* out = open_memstream(&out_buf, &out_len);
+    struct Silent final : WorkerWorkload {
+      std::size_t universe_size() override { return 100; }
+      LaneMask run_batch(const ShardRequest&,
+                         std::span<const FaultId>) override {
+        return {};
+      }
+      std::uint64_t state_fingerprint(const ShardRequest&) override {
+        return 0;
+      }
+    } workload;
+    const ChaosSpec no_chaos;
+    EXPECT_EQ(serve_worker(in, out, workload, &no_chaos), 1);
+    std::fclose(in);
+    std::fclose(out);
+    grant_error.assign(out_buf, out_len);
+    std::free(out_buf);
+  }
+  // The worker answers the out-of-range grant with a located error.
+  EXPECT_NE(grant_error.find("grant: shard id past the last span"),
+            std::string::npos)
+      << grant_error;
+  EXPECT_NE(grant_error.find("at offset"), std::string::npos) << grant_error;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "netlist/cell.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/wordops.hpp"
@@ -114,6 +117,30 @@ TEST(Netlist, RewireInputMovesFanout) {
   ASSERT_EQ(nl.net(b).fanout.size(), 1u);
   EXPECT_EQ(nl.cell(g).ins[0], b);
   EXPECT_TRUE(nl.validate().empty());
+}
+
+TEST(Netlist, InputIndexOutsideTheCellThrows) {
+  // A one-input output port: index 1 and -1 name no pin, and must fail
+  // loudly in every build type instead of touching memory past ins.
+  Netlist nl("t");
+  const NetId a = nl.add_input("a");
+  const NetId b = nl.add_input("b");
+  const CellId port = nl.add_output("o", a);
+  EXPECT_THROW(nl.rewire_input(port, 1, b), std::out_of_range);
+  EXPECT_THROW(nl.rewire_input(port, -1, b), std::out_of_range);
+  try {
+    nl.rewire_input(port, 1, b);
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("'o'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(nl.cell(port).ins[0], a);  // untouched
+  const NetId y = nl.add_net("y");
+  const CellId g = nl.add_cell(CellType::kBuf, "u_b", y, {kInvalidId});
+  EXPECT_THROW(nl.connect_input(g, 1, a), std::out_of_range);
+  EXPECT_THROW(nl.connect_input(g, -1, a), std::out_of_range);
+  nl.connect_input(g, 0, b);
+  EXPECT_EQ(nl.cell(g).ins[0], b);
 }
 
 TEST(Netlist, ValidateReportsUndrivenNet) {

@@ -2,7 +2,6 @@
 
 #include "campaign/executor.hpp"
 #include "campaign/report.hpp"
-#include "campaign/scheduler.hpp"
 #include "core/analyzer.hpp"
 #include "fault/report.hpp"
 #include "netlist/wordops.hpp"
@@ -96,68 +95,6 @@ TEST(ModuleBreakdown, TableIsAligned) {
   EXPECT_NE(table.find("untestable"), std::string::npos);
 }
 
-TEST(BatchPlanJson, RoundTripsEveryPolicyShape) {
-  // A permuted, ragged plan (the cone/adaptive shape): order reversed,
-  // batches of 3/1/3.
-  BatchPlan plan;
-  plan.order = {6, 5, 4, 3, 2, 1, 0};
-  plan.batch_start = {0, 3, 4, 7};
-  plan.validate(7, 63);
-
-  const Json doc = batch_plan_to_json(plan, "cone");
-  EXPECT_EQ(doc.at("policy").as_string(), "cone");
-  const BatchPlan back = batch_plan_from_json(doc);
-  EXPECT_EQ(back.order, plan.order);
-  EXPECT_EQ(back.batch_start, plan.batch_start);
-
-  // The identity plan (fixed policy) and dump -> parse -> rebuild.
-  const BatchPlan fixed = BatchPlan::fixed(130, 63);
-  const BatchPlan fixed_back =
-      batch_plan_from_json(Json::parse(batch_plan_to_json(fixed, "fixed").dump()));
-  EXPECT_EQ(fixed_back.order, fixed.order);
-  EXPECT_EQ(fixed_back.batch_start, fixed.batch_start);
-
-  // The empty plan round-trips too (grade() never sends one, but the
-  // wire format must not choke on it).
-  BatchPlan empty;
-  empty.batch_start = {0};
-  EXPECT_EQ(batch_plan_from_json(batch_plan_to_json(empty, "fixed")).batches(),
-            0u);
-}
-
-TEST(BatchPlanJson, RejectsMalformedDocuments) {
-  const BatchPlan plan = BatchPlan::fixed(7, 3);
-  const Json good = batch_plan_to_json(plan, "fixed");
-
-  {  // a repeated order index is not a permutation
-    Json bad = good;
-    Json order = Json::array();
-    for (std::size_t i = 0; i < 7; ++i) order.push_back(std::size_t{0});
-    bad.set("order", std::move(order));
-    EXPECT_THROW(batch_plan_from_json(bad), JsonError);
-  }
-  {  // batch sizes that overrun the target count
-    Json bad = good;
-    Json sizes = Json::array();
-    sizes.push_back(std::size_t{100});
-    bad.set("batch_sizes", std::move(sizes));
-    bad.set("batches", std::size_t{1});
-    EXPECT_THROW(batch_plan_from_json(bad), JsonError);
-  }
-  {  // order length disagreeing with the declared target count
-    Json bad = good;
-    bad.set("targets", std::size_t{3});
-    EXPECT_THROW(batch_plan_from_json(bad), JsonError);
-  }
-  {  // batches field disagreeing with batch_sizes
-    Json bad = good;
-    bad.set("batches", std::size_t{1});
-    EXPECT_THROW(batch_plan_from_json(bad), JsonError);
-  }
-  // Missing keys are malformed, not defaulted.
-  EXPECT_THROW(batch_plan_from_json(Json::object()), JsonError);
-}
-
 TEST(SeqFsimOptionsJson, RoundTripsAndRejectsBadBudgets) {
   SeqFsimOptions opts;
   opts.max_cycles = 1234;
@@ -195,7 +132,7 @@ TEST(SeqFsimOptionsJson, ClockingModeRoundTripsNonDefaultOnly) {
   EXPECT_THROW(seq_fsim_options_from_json(bad), JsonError);
 }
 
-TEST(LaneMaskJson, RoundTripsArrayAndLegacyString) {
+TEST(LaneMaskJson, RoundTripsArray) {
   LaneMask mask;
   mask.set_word(0, 0x0123456789ABCDEFull);
   mask.set_word(1, 0xFEDCBA9876543210ull);
@@ -210,11 +147,6 @@ TEST(LaneMaskJson, RoundTripsArrayAndLegacyString) {
   for (int k = 0; k < LaneMask::kWords; ++k)
     EXPECT_EQ(doc.at(static_cast<std::size_t>(k)).as_string().size(), 16u);
   EXPECT_EQ(doc.at(std::size_t{0}).as_string(), "0123456789abcdef");
-
-  // The legacy lone-string form (a pre-width 63-fault shard) still
-  // decodes as the low word.
-  EXPECT_EQ(lane_mask_from_json(Json::parse("\"000000000000000a\"")),
-            LaneMask(0xAull));
 }
 
 TEST(LaneMaskJson, RejectsMalformedWordsWithSourceOffsets) {
@@ -249,67 +181,9 @@ TEST(LaneMaskJson, RejectsMalformedWordsWithSourceOffsets) {
       EXPECT_LE(e.offset(), gpos + 1);
     }
   }
-  // Legacy string form gets the same digit-count strictness.
-  EXPECT_THROW(lane_mask_from_json(Json::parse("\"abc\"")), JsonError);
-}
-
-TEST(BatchPlanJson, MaxBatchFollowsNegotiatedWidth) {
-  // A 100-fault batch is over the 64-lane limit (63) but fits 128 lanes
-  // (127): the same document parses or is refused depending on the
-  // max_batch the caller negotiated.
-  const Json doc = batch_plan_to_json(BatchPlan::fixed(200, 100), "fixed");
-  const BatchPlan wide = batch_plan_from_json(doc, /*max_batch=*/127);
-  EXPECT_EQ(wide.batches(), 2u);
-  EXPECT_THROW(batch_plan_from_json(doc), JsonError);  // default: 63
-}
-
-/// Minimal well-formed grade request document for the guard tests.
-Json make_grade_doc(std::size_t targets, std::size_t batch) {
-  Json doc = Json::object();
-  doc.set("type", "grade");
-  doc.set("protocol", kWorkerProtocolVersion);
-  doc.set("test", "t");
-  doc.set("fault_model", std::string(to_string(FaultModel::kStuckAt)));
-  doc.set("spec", Json::object());
-  doc.set("plan", batch_plan_to_json(BatchPlan::fixed(targets, batch), "fixed"));
-  Json tg = Json::array();
-  for (std::size_t i = 0; i < targets; ++i) tg.push_back(i);
-  doc.set("targets", std::move(tg));
-  Json sh = Json::array();
-  sh.push_back(std::size_t{0});
-  doc.set("shards", std::move(sh));
-  return doc;
-}
-
-TEST(ShardRequestJson, LanesGateThePlanWidth) {
-  // Absent "lanes" means the pre-width protocol: 64 lanes, 63-fault cap.
-  EXPECT_EQ(shard_request_from_json(make_grade_doc(60, 60)).lanes, 64);
-  EXPECT_THROW(shard_request_from_json(make_grade_doc(100, 100)), JsonError);
-
-  if (lane_width_supported(128)) {
-    Json doc = make_grade_doc(100, 100);
-    doc.set("lanes", 128);
-    const ShardRequest req = shard_request_from_json(doc);
-    EXPECT_EQ(req.lanes, 128);
-    EXPECT_EQ(req.plan.batches(), 1u);
-    // ... but 128 lanes still refuse a batch over 127 faults.
-    Json over = make_grade_doc(140, 140);
-    over.set("lanes", 128);
-    EXPECT_THROW(shard_request_from_json(over), JsonError);
-  }
-
-  // A width outside {64, 128, 256} is a protocol error.
-  Json odd = make_grade_doc(10, 10);
-  odd.set("lanes", 96);
-  EXPECT_THROW(shard_request_from_json(odd), JsonError);
-
-  // A width this build does not instantiate is refused at parse time,
-  // mirroring the coordinator's max_lanes check at hello.
-  if (!lane_width_supported(256)) {
-    Json wide = make_grade_doc(10, 10);
-    wide.set("lanes", 256);
-    EXPECT_THROW(shard_request_from_json(wide), JsonError);
-  }
+  // A lone hex string is not a mask, however well-formed the word.
+  EXPECT_THROW(lane_mask_from_json(Json::parse("\"000000000000000a\"")),
+               JsonError);
 }
 
 TEST(SeqFsimOptionsJson, LanesRoundTripAndValidation) {
