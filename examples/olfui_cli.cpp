@@ -20,8 +20,10 @@
 //                            (<seed>:crash|stall|trunc[@N][:all]) to the
 //                            spawned workers — the recovery-path smoke
 //       --programs N         grade only the first N suite programs
+//                            (0 = all, at most the suite size)
 //       --limit N            grade only the first N eligible faults per
-//                            test (the CI smoke slice; 0 = all)
+//                            test (the CI smoke slice; 0 = all, at most
+//                            the FaultId range, 4294967295)
 //       --threads N          in-process worker threads (0 = all cores,
 //                            at most 256)
 //       --lanes W            packed kernel width: 64, 128, or 256
@@ -99,6 +101,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -147,19 +150,22 @@ constexpr std::uint64_t kMaxRespawns = 1024;
                "       %s --worker [--chaos SPEC]\n"
                "       %s --help\n"
                "counts: --threads, --workers and --min-workers at most %d, "
-               "--max-respawns at most %d\n",
+               "--max-respawns at most %d, --programs at most %zu (the "
+               "suite), --limit at most %u\n",
                argv0, argv0, argv0, argv0, static_cast<int>(kMaxWorkers),
-               static_cast<int>(kMaxRespawns));
+               static_cast<int>(kMaxRespawns),
+               build_sbst_suite(SocConfig{}).size(),
+               std::numeric_limits<FaultId>::max());
   std::exit(help ? 0 : 2);
 }
 
 /// Parses a count option's value; a non-number or a value above `max` is
 /// a usage error.
-int parse_count(const char* argv0, const std::string& text,
-                std::uint64_t max) {
+std::uint64_t parse_count(const char* argv0, const std::string& text,
+                          std::uint64_t max) {
   const auto n = parse_uint(text);
   if (!n || *n > max) usage(argv0);
-  return static_cast<int>(*n);
+  return *n;
 }
 
 std::string read_file(const std::string& path) {
@@ -349,11 +355,6 @@ int run_sbst_mode(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    const auto next_uint = [&]() -> std::size_t {
-      const auto n = parse_uint(next());
-      if (!n) usage(argv[0]);
-      return static_cast<std::size_t>(*n);
-    };
     const auto next_count = [&](std::uint64_t max) {
       return parse_count(argv[0], next(), max);
     };
@@ -384,9 +385,9 @@ int run_sbst_mode(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--programs") {
-      programs = next_uint();
+      programs = next_count(build_sbst_suite(SocConfig{}).size());
     } else if (arg == "--limit") {
-      limit = next_uint();
+      limit = next_count(std::numeric_limits<FaultId>::max());
     } else if (arg == "--threads") {
       threads = next_count(kMaxWorkers);
     } else if (arg == "--lanes") {

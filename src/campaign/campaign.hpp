@@ -31,8 +31,9 @@
 //
 // Workloads plug in through FaultBatchRunner: the SBST campaign wraps
 // SequentialFaultSimulator + SocFsimEnvironment, the scan flow wraps
-// ScanTestRunner, and ad-hoc sweeps can wrap anything that grades a
-// span of up to CampaignTest::lane_width - 1 faults (63 unless set).
+// ScanTestRunner (255-fault batches at the widest width), and ad-hoc
+// sweeps can wrap anything that grades a span of up to
+// CampaignTest::lane_width - 1 faults (63 unless set).
 #pragma once
 
 #include <algorithm>
@@ -76,8 +77,8 @@ struct CampaignTest {
   std::function<std::unique_ptr<FaultBatchRunner>()> make_runner;
   /// Packed width the runners were built at: the engine caps this test's
   /// batches at lane_width - 1 faults, whatever CampaignOptions::lane_width
-  /// asks for. The default fits 63-fault kernels (ScanTestRunner and
-  /// other make_function_test wrappers).
+  /// asks for. The default fits 63-fault make_function_test wrappers; the
+  /// SBST and scan builders set kMaxLaneWidth.
   int lane_width = 64;
   /// Optional wire description of this test for remote executors: an
   /// opaque JSON document a worker-side workload uses to rebuild the

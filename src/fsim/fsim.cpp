@@ -239,6 +239,26 @@ bool SequentialFaultSimulatorT<W>::begin_replay(const ReferenceTrace* trace) {
   return true;
 }
 
+void publish_kernel_activity(const PackedActivity& now,
+                             const PackedActivity& since) {
+  using A = PackedActivity;
+  static constexpr std::pair<const char*, std::uint64_t A::*> kCounters[] = {
+      {"kernel.evals", &A::evals},
+      {"kernel.full_sweeps", &A::full_sweeps},
+      {"kernel.cells_evaluated", &A::cells_evaluated},
+      {"kernel.events_drained", &A::events_drained},
+      {"kernel.levels_touched", &A::levels_touched},
+      {"kernel.quiet_cells", &A::quiet_cells},
+      {"kernel.sched_pushes", &A::sched_pushes},
+      {"kernel.flops_latched", &A::flops_latched},
+      {"kernel.flops_skipped", &A::flops_skipped},
+      {"kernel.good_applied", &A::good_applied},
+      {"kernel.lanes_dropped", &A::lanes_dropped}};
+  if (!obs::metrics().enabled()) return;
+  for (const auto& [name, field] : kCounters)
+    obs::metrics().counter(name).add(now.*field - since.*field);
+}
+
 template <int W>
 void SequentialFaultSimulatorT<W>::publish_activity() {
   if (!obs::metrics().enabled()) return;
@@ -247,27 +267,7 @@ void SequentialFaultSimulatorT<W>::publish_activity() {
   // A caller-side sim().reset_activity() rewinds the counters; restart the
   // delta base rather than wrapping the unsigned subtraction.
   if (a.evals < base.evals) base = {};
-  obs::metrics().counter("kernel.evals").add(a.evals - base.evals);
-  obs::metrics().counter("kernel.full_sweeps")
-      .add(a.full_sweeps - base.full_sweeps);
-  obs::metrics().counter("kernel.cells_evaluated")
-      .add(a.cells_evaluated - base.cells_evaluated);
-  obs::metrics().counter("kernel.events_drained")
-      .add(a.events_drained - base.events_drained);
-  obs::metrics().counter("kernel.levels_touched")
-      .add(a.levels_touched - base.levels_touched);
-  obs::metrics().counter("kernel.quiet_cells")
-      .add(a.quiet_cells - base.quiet_cells);
-  obs::metrics().counter("kernel.sched_pushes")
-      .add(a.sched_pushes - base.sched_pushes);
-  obs::metrics().counter("kernel.flops_latched")
-      .add(a.flops_latched - base.flops_latched);
-  obs::metrics().counter("kernel.flops_skipped")
-      .add(a.flops_skipped - base.flops_skipped);
-  obs::metrics().counter("kernel.good_applied")
-      .add(a.good_applied - base.good_applied);
-  obs::metrics().counter("kernel.lanes_dropped")
-      .add(a.lanes_dropped - base.lanes_dropped);
+  publish_kernel_activity(a, base);
   base = a;
 }
 

@@ -200,6 +200,12 @@ class SequentialFaultSimulatorT {
 /// OLFUI_HAS_WIDE_LANES is set; see resolve_lane_width().
 using SequentialFaultSimulator = SequentialFaultSimulatorT<64>;
 
+/// Side-band metrics bridge (obs): adds one simulator's activity between
+/// the `since` and `now` snapshots to the kernel.* counters. fsim and the
+/// scan tests both publish through it; a branch when metrics are off.
+void publish_kernel_activity(const PackedActivity& now,
+                             const PackedActivity& since = {});
+
 /// Parallel-pattern single-fault combinational simulation: returns true if
 /// any of the patterns (one per lane, values keyed by controllable net)
 /// detects `fault` on the observed outputs. For pure combinational netlists.

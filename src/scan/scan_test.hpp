@@ -54,28 +54,32 @@ class ScanTestRunner {
   /// pattern's own PI assignment overrides the constraint during capture.
   void set_pin_constraint(NetId net, bool value);
 
-  /// Applies one full-scan pattern to up to 63 faults (lane 0 is the good
-  /// machine): shift-in, functional capture with PO observation, shift-out
-  /// with scan-out observation. Returns the per-fault detection mask.
-  /// Builds its own PackedSim per call (over the runner's shared
-  /// topology), so concurrent calls are safe — which is what lets the
-  /// campaign orchestrator fan batches out.
+  /// Grades up to kMaxLaneWidth - 1 faults (lane 0 is the good machine)
+  /// and returns the per-fault detection mask. With `pattern`: shift-in,
+  /// functional capture with PO observation, shift-out with scan-out
+  /// observation. Without: the chain integrity (flush) test, a 00110011...
+  /// sequence shifted through all chains with SE active and compared at
+  /// scan-out — serial-path faults without any ATPG. Up to 63 faults run
+  /// on a 64-lane simulator, more on a kMaxLaneWidth one, built per call
+  /// over the shared topology: concurrent calls are safe, which is what
+  /// lets the campaign orchestrator fan batches out.
+  LaneMask grade(std::span<const FaultId> faults, const FaultUniverse& universe,
+                 const ScanPattern* pattern = nullptr) const;
+
+  /// grade() with `pattern`, for up to 63 faults.
   std::uint64_t run_pattern(std::span<const FaultId> faults,
                             const FaultUniverse& universe,
                             const ScanPattern& pattern) const;
 
-  /// Chain integrity (flush) test: shifts a 00110011... sequence through
-  /// all chains with SE held active and compares scan-out streams against
-  /// the good machine. Detects serial-path faults without any ATPG.
-  /// Thread-safe like run_pattern.
+  /// grade() as the chain test, for up to 63 faults.
   std::uint64_t run_chain_test(std::span<const FaultId> faults,
                                const FaultUniverse& universe) const;
 
  private:
-  void inject(PackedSim& sim, std::span<const FaultId> faults,
-              const FaultUniverse& universe) const;
-  void drive_quiet_inputs(PackedSim& sim) const;
-  std::size_t max_chain_length() const;
+  template <int W>
+  LaneMask run_kernel(std::span<const FaultId> faults,
+                      const FaultUniverse& universe,
+                      const ScanPattern* pattern) const;
 
   const Netlist* nl_;
   const ScanChains* chains_;
@@ -86,8 +90,9 @@ class ScanTestRunner {
 };
 
 /// Campaign adapters: the manufacturing-test kernels as orchestrator
-/// tests. `runner`, `universe`, and (for patterns) `pattern` must outlive
-/// the campaign that grades the test.
+/// tests at kMaxLaneWidth (255-fault batches by default). `runner`,
+/// `universe`, and (for patterns) `pattern` must outlive the campaign
+/// that grades the test.
 CampaignTest make_chain_test_campaign(const ScanTestRunner& runner,
                                       const FaultUniverse& universe);
 CampaignTest make_pattern_campaign(const ScanTestRunner& runner,

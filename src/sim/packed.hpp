@@ -191,9 +191,10 @@ enum class PackedClockMode : std::uint8_t {
 };
 
 /// Work counters for the activity benches and the obs metrics bridge
-/// (fsim publishes per-batch deltas as kernel.* counters): how much of
-/// the netlist the kernel actually touched. Plain counters, no locks —
-/// the kernel itself stays observability-free.
+/// (fsim and the scan tests publish per-batch deltas as kernel.* counters
+/// through publish_kernel_activity): how much of the netlist the kernel
+/// actually touched. Plain counters, no locks — the kernel itself stays
+/// observability-free.
 struct PackedActivity {
   std::uint64_t evals = 0;            ///< eval() calls
   std::uint64_t full_sweeps = 0;      ///< evals resolved by a full sweep

@@ -1222,6 +1222,9 @@ TEST(OlfuiCli, RejectsOutOfRangeCountsAtParseTime) {
         "--sbst --workers 257", "--sbst --workers 4294967298",
         "--sbst --min-workers 257", "--sbst --max-respawns 1025",
         "--sbst --threads -1", "--sbst --threads 18446744073709551617",
+        "--sbst --programs 9", "--sbst --programs 4294967297",
+        "--sbst --programs -1", "--sbst --limit 4294967296",
+        "--sbst --limit 18446744073709551617", "--sbst --limit -1",
         "missing.v --threads 4294967297",
         "missing.v --threads 257"})
     EXPECT_EQ(cli_status(args), 2) << args;

@@ -407,8 +407,9 @@ TEST(LaneWidth, WideEngineKeepsNarrowTestsAtTheirOwnWidth) {
 }
 
 TEST(LaneWidth, ScanTestGenerationIsWidthIndependent) {
-  // generate_scan_tests grades through the 63-fault ScanTestRunner; the
-  // default (widest) engine must give what an explicit 64-lane one gives.
+  // generate_scan_tests grades through ScanTestRunner, whose campaign
+  // tests run 255-fault batches under the default (widest) engine and
+  // 63-fault ones under an explicit 64-lane engine; both must agree.
   Rng rng(59);
   RandomDesign d = random_design(rng, 5, 14, 120);
   const ScanChains chains = insert_scan(d.nl, {.num_chains = 2});

@@ -3,12 +3,18 @@
 // scan/debug structures are still accessible.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "atpg/podem.hpp"
+#include "campaign/campaign.hpp"
+#include "campaign/report.hpp"
 #include "core/analyzer.hpp"
 #include "netlist/wordops.hpp"
+#include "obs/metrics.hpp"
 #include "scan/pattern_io.hpp"
 #include "scan/scan_atpg.hpp"
 #include "scan/scan_test.hpp"
+#include "scan_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace olfui {
@@ -306,6 +312,241 @@ TEST(PatternIo, ErrorsCarryLineNumbers) {
   EXPECT_THROW(read_patterns(rig.soc->netlist, "pattern 0\n"), PatternIoError);
   EXPECT_THROW(read_patterns(rig.soc->netlist, "pattern 0\n  chain 0 012\nend\n"),
                PatternIoError);
+}
+
+// ---------------------------------------------------------------------------
+// The single-settle kernel at 64 and kMaxLaneWidth lanes against the
+// two-settle 64-lane oracle (scan_oracle.hpp).
+
+/// A random sequential design: inputs (in0 doubles as the DFFR reset),
+/// flops with random feedback, a random gate DAG and a few outputs.
+std::unique_ptr<Netlist> random_design(Rng& rng, int n_inputs, int n_flops,
+                                       int n_gates) {
+  auto nl = std::make_unique<Netlist>("rand");
+  std::vector<NetId> nets;
+  for (int i = 0; i < n_inputs; ++i)
+    nets.push_back(nl->add_input("in" + std::to_string(i)));
+  const NetId rstn = nets[0];
+  std::vector<CellId> flops;
+  for (int f = 0; f < n_flops; ++f) {
+    const NetId q = nl->add_net("q" + std::to_string(f));
+    const std::string name = "u_ff" + std::to_string(f);
+    flops.push_back(
+        rng.next_bool()
+            ? nl->add_cell(CellType::kDffR, name, q, {kInvalidId, rstn})
+            : nl->add_cell(CellType::kDff, name, q, {kInvalidId}));
+    nets.push_back(q);
+  }
+  const CellType kGates[] = {CellType::kNot,  CellType::kAnd2, CellType::kOr3,
+                             CellType::kNand2, CellType::kNor2, CellType::kXor2,
+                             CellType::kMux2};
+  for (int g = 0; g < n_gates; ++g) {
+    const CellType t = kGates[rng.next_below(std::size(kGates))];
+    std::vector<NetId> ins(static_cast<std::size_t>(num_inputs(t)));
+    for (NetId& in : ins) in = nets[rng.next_below(nets.size())];
+    const NetId out = nl->add_net("g" + std::to_string(g));
+    nl->add_cell(t, "u_g" + std::to_string(g), out, std::move(ins));
+    nets.push_back(out);
+  }
+  const auto any_net = [&] { return nets[rng.next_below(nets.size())]; };
+  for (CellId f : flops) nl->connect_input(f, 0, any_net());
+  for (int o = 0; o < 4; ++o)
+    nl->add_output("out" + std::to_string(o), any_net());
+  EXPECT_TRUE(nl->validate().empty());
+  return nl;
+}
+
+/// Every fault on the scan structures and the observation points — the SE
+/// and SI input stems, scan muxes, link and tail buffers, scan-out ports,
+/// POs, flop D/Q/RSTN pins — followed by every `stride`-th fault.
+std::vector<FaultId> scan_fault_sample(const Netlist& nl,
+                                       const ScanChains& chains,
+                                       const FaultUniverse& u, FaultId stride) {
+  std::vector<FaultId> out;
+  const auto cell_faults = [&](CellId c) { u.faults_of_cell(c, out); };
+  cell_faults(nl.net(chains.se_net).driver);
+  for (const ScanChain& chain : chains.chains) {
+    cell_faults(nl.net(chain.scan_in_net).driver);
+    for (const ScanElement& e : chain.elements) {
+      cell_faults(e.mux);
+      cell_faults(e.flop);
+      for (CellId b : e.link_buffers) cell_faults(b);
+    }
+    for (CellId b : chain.tail_buffers) cell_faults(b);
+    cell_faults(chain.scan_out_port);
+  }
+  for (CellId oc : nl.output_cells()) cell_faults(oc);
+  for (FaultId f = 0; f < u.size(); f += stride) out.push_back(f);
+  return out;
+}
+
+/// Random PI and chain values; `held` (the reset input) keeps its value,
+/// so reset flops neither clear at capture nor break the chains when the
+/// pattern's inputs stay applied through shift-out.
+ScanPattern random_scan_pattern(const Netlist& nl, const ScanChains& chains,
+                                Rng& rng, NetId held) {
+  ScanPattern p;
+  for (CellId c : nl.input_cells()) {
+    const NetId n = nl.cell(c).out;
+    if (n != chains.se_net) p.pi[n] = n == held || rng.next_bool();
+  }
+  for (const ScanChain& chain : chains.chains) {
+    std::vector<bool> bits(chain.elements.size());
+    for (std::size_t k = 0; k < bits.size(); ++k) bits[k] = rng.next_bool();
+    p.chain_state.push_back(std::move(bits));
+  }
+  return p;
+}
+
+/// Grades `faults` in consecutive batches of `batch` through the runner
+/// and the oracle (the chain test, then each pattern) and expects
+/// identical masks.
+void expect_matches_oracle(const ScanTestRunner& runner,
+                           const ScanOracle& oracle, const FaultUniverse& u,
+                           std::span<const FaultId> faults, std::size_t batch,
+                           const std::vector<ScanPattern>& patterns) {
+  std::vector<const ScanPattern*> tests = {nullptr};
+  for (const ScanPattern& p : patterns) tests.push_back(&p);
+  for (std::size_t i = 0; i < faults.size(); i += batch) {
+    const auto part = faults.subspan(i, std::min(batch, faults.size() - i));
+    for (std::size_t t = 0; t < tests.size(); ++t) {
+      const LaneMask want = oracle.grade(part, u, tests[t]);
+      EXPECT_EQ(runner.grade(part, u, tests[t]), want)
+          << "batch " << batch << " at " << i << ", test " << t;
+      if (part.size() <= 63) {
+        const std::uint64_t narrow =
+            tests[t] ? runner.run_pattern(part, u, *tests[t])
+                     : runner.run_chain_test(part, u);
+        EXPECT_EQ(LaneMask(narrow), want) << "batch " << batch << " at " << i;
+      }
+    }
+  }
+}
+
+constexpr std::size_t kBatchSizes[] = {1, 63, 64, 200, 255};
+
+TEST(ScanKernel, MatchesTwoSettleOracleOnRandomDesigns) {
+  Rng rng(1601);
+  for (int trial = 0; trial < 4; ++trial) {
+    auto nl = random_design(rng, 5, 11 + 4 * trial, 60 + 20 * trial);
+    const ScanChains chains =
+        insert_scan(*nl, {.num_chains = 3 + trial % 2, .buffers_per_link = 1,
+                          .se_functional_value = trial % 2 == 1});
+    std::size_t shortest = ~std::size_t{0}, longest = 0;
+    for (const ScanChain& c : chains.chains) {
+      shortest = std::min(shortest, c.elements.size());
+      longest = std::max(longest, c.elements.size());
+    }
+    ASSERT_LT(shortest, longest) << "chains must differ in length";
+    const FaultUniverse u(*nl);
+    ScanTestRunner runner(*nl, chains);
+    runner.set_pin_constraint(nl->find_input("in0"), true);
+    const ScanOracle oracle{*nl, chains, {{nl->find_input("in0"), true}}};
+    std::vector<ScanPattern> patterns;
+    for (int p = 0; p < 2; ++p)
+      patterns.push_back(
+          random_scan_pattern(*nl, chains, rng, nl->find_input("in0")));
+    const std::vector<FaultId> faults = scan_fault_sample(*nl, chains, u, 1);
+    ASSERT_GT(faults.size(), 255u);
+    for (std::size_t batch : kBatchSizes)
+      expect_matches_oracle(runner, oracle, u, faults, batch, patterns);
+  }
+}
+
+TEST(ScanKernel, MatchesTwoSettleOracleOnFullSocSample) {
+  auto soc = build_soc(SocConfig{});
+  const FaultUniverse u(soc->netlist);
+  ScanTestRunner runner(soc->netlist, soc->scan);
+  runner.set_pin_constraint(soc->cpu.rstn, true);
+  const ScanOracle oracle{soc->netlist, soc->scan, {{soc->cpu.rstn, true}}};
+  Rng rng(16);
+  const std::vector<ScanPattern> patterns = {
+      random_scan_pattern(soc->netlist, soc->scan, rng, soc->cpu.rstn)};
+  // Structure faults first (a whole SoC's worth), then a stride sample:
+  // one slice of each batch size, offset so the slices differ.
+  const std::vector<FaultId> all =
+      scan_fault_sample(soc->netlist, soc->scan, u, 97);
+  std::size_t offset = 0;
+  std::size_t detected = 0;
+  for (std::size_t batch : kBatchSizes) {
+    const auto part =
+        std::span(all).subspan(offset % (all.size() - batch), batch);
+    expect_matches_oracle(runner, oracle, u, part, batch, patterns);
+    const LaneMask chain = runner.grade(part, u);
+    for (int k = 0; k < LaneMask::kWords; ++k)
+      detected += static_cast<std::size_t>(std::popcount(chain.word(k)));
+    offset += 1237;
+  }
+  EXPECT_GT(detected, 0u);
+}
+
+TEST(ScanKernel, CampaignBuildersGradeAtTheWidestLaneWidth) {
+  Rig rig;
+  ScanTestRunner runner = rig.make_runner();
+  Rng rng(3);
+  const ScanPattern pattern = random_scan_pattern(
+      rig.soc->netlist, rig.chains, rng, rig.soc->cpu.rstn);
+  EXPECT_EQ(make_chain_test_campaign(runner, *rig.universe).lane_width,
+            kMaxLaneWidth);
+  EXPECT_EQ(
+      make_pattern_campaign(runner, *rig.universe, pattern, "p").lane_width,
+      kMaxLaneWidth);
+  std::vector<FaultId> too_many(kMaxLaneWidth);
+  EXPECT_THROW(runner.grade(too_many, *rig.universe), std::invalid_argument);
+}
+
+TEST(ScanKernel, PublishesOneEvalPerCycle) {
+  Rig rig;
+  ScanTestRunner runner = rig.make_runner();
+  std::size_t len = 0;
+  for (const ScanChain& c : rig.chains.chains)
+    len = std::max(len, c.elements.size());
+  std::vector<FaultId> faults;
+  for (FaultId f = 0; f < 200; ++f) faults.push_back(f * 7);
+  obs::metrics().set_enabled(true);
+  obs::metrics().reset_values();
+  std::vector<std::uint64_t> evals;
+  for (std::size_t n : {std::size_t{63}, std::size_t{200}, std::size_t{63}}) {
+    const std::uint64_t before = obs::metrics().counter("kernel.evals").value();
+    runner.grade(std::span(faults).first(n), *rig.universe);
+    evals.push_back(obs::metrics().counter("kernel.evals").value() - before);
+  }
+  const std::uint64_t sweeps =
+      obs::metrics().counter("kernel.full_sweeps").value();
+  obs::metrics().set_enabled(false);
+  obs::metrics().reset_values();
+  for (std::uint64_t e : evals) EXPECT_EQ(e, 3 * len);
+  EXPECT_EQ(sweeps, 3 * 3 * len);
+}
+
+TEST(ScanKernel, PayloadIdenticalWithMetricsOnAndOff) {
+  Rig rig;
+  ScanTestRunner runner = rig.make_runner();
+  Rng rng(5);
+  const ScanPattern pattern = random_scan_pattern(
+      rig.soc->netlist, rig.chains, rng, rig.soc->cpu.rstn);
+  const std::vector<CampaignTest> tests = {
+      make_chain_test_campaign(runner, *rig.universe),
+      make_pattern_campaign(runner, *rig.universe, pattern, "p0")};
+  CampaignOptions opts;
+  opts.threads = 2;
+  opts.target_limit = 1500;
+  const auto run = [&] {
+    FaultList fl(*rig.universe);
+    return CampaignEngine(*rig.universe, opts).run(fl, tests);
+  };
+  const CampaignResult off = run();
+  obs::metrics().set_enabled(true);
+  obs::metrics().reset_values();
+  const CampaignResult on = run();
+  const std::uint64_t evals = obs::metrics().counter("kernel.evals").value();
+  obs::metrics().set_enabled(false);
+  obs::metrics().reset_values();
+  EXPECT_GT(evals, 0u);
+  EXPECT_EQ(on, off);
+  EXPECT_EQ(campaign_result_to_json(on, false).dump(),
+            campaign_result_to_json(off, false).dump());
+  EXPECT_GT(off.total_new_detections, 0u);
 }
 
 }  // namespace
