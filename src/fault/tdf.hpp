@@ -30,11 +30,6 @@ namespace olfui {
 /// (the s-a-0 slot: the capture cycle holds the site at 0).
 inline bool tdf_slow_to_rise(const Fault& f) { return !f.sa1; }
 
-/// The stuck value forced at the site during a capture cycle: the
-/// pre-transition value, which coincides with the shared stuck-at slot's
-/// polarity (slow-to-rise holds 0, slow-to-fall holds 1).
-inline bool tdf_capture_value(const Fault& f) { return f.sa1; }
-
 /// Report label of a transition class: "str" / "stf" (the TDF analogue of
 /// the campaign's "sa0" / "sa1" polarity classes).
 std::string_view tdf_class_name(const Fault& f);

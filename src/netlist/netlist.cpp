@@ -109,13 +109,6 @@ void Netlist::rewire_input(CellId cell, int input_pin, NetId new_net) {
   nets_[new_net].fanout.push_back({cell, static_cast<std::uint8_t>(input_pin + 1)});
 }
 
-void Netlist::replace_driver(NetId net, CellId new_driver) {
-  Net& n = nets_[net];
-  if (n.driver != kInvalidId) cells_[n.driver].out = kInvalidId;
-  n.driver = new_driver;
-  cells_[new_driver].out = net;
-}
-
 NetId Netlist::pin_net(Pin p) const {
   const Cell& c = cells_[p.cell];
   return p.pin == 0 ? c.out : c.ins[p.pin - 1];

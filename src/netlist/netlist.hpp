@@ -71,7 +71,6 @@ class Netlist {
   explicit Netlist(std::string name = "top") : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   // ---- construction -----------------------------------------------------
 
@@ -99,11 +98,6 @@ class Netlist {
   /// fanout lists. Used by the scan / debug insertion passes. Throws
   /// std::out_of_range naming the cell for an index outside ins.
   void rewire_input(CellId cell, int input_pin, NetId new_net);
-
-  /// Replaces the driver of `net` with `new_driver` (whose `out` is updated).
-  /// The previous driver, if any, is left driving nothing (used by the
-  /// paper's tie-off manipulation when done destructively).
-  void replace_driver(NetId net, CellId new_driver);
 
   void set_tag(CellId cell, std::string tag) { cells_[cell].tag = std::move(tag); }
 

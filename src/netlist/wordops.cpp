@@ -71,13 +71,6 @@ Bus WordOps::xor_word(const Bus& a, const Bus& b, std::string_view n) {
   return out;
 }
 
-Bus WordOps::mask_word(const Bus& a, NetId en, std::string_view n) {
-  Bus out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    out[i] = and2(a[i], en, bit_name(n, i));
-  return out;
-}
-
 Bus WordOps::mux_word(NetId s, const Bus& a, const Bus& b, std::string_view n) {
   assert(a.size() == b.size());
   Bus out(a.size());

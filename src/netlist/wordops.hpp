@@ -62,8 +62,6 @@ class WordOps {
   Bus and_word(const Bus& a, const Bus& b, std::string_view name);
   Bus or_word(const Bus& a, const Bus& b, std::string_view name);
   Bus xor_word(const Bus& a, const Bus& b, std::string_view name);
-  /// Bitwise AND of every bus bit with a single enable net.
-  Bus mask_word(const Bus& a, NetId en, std::string_view name);
   /// Per-bit 2:1 mux: s==0 selects a, s==1 selects b.
   Bus mux_word(NetId s, const Bus& a, const Bus& b, std::string_view name);
 

@@ -1,7 +1,9 @@
 #include "sbst/sbst.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -371,15 +373,19 @@ std::unique_ptr<FaultBatchRunner> make_sbst_runner(
                                                topo, opts, fault_model);
 }
 
-/// The shared trailing half of build/rebuild: checkpoint the good machine
-/// under `opts` and wrap the grading kernel in per-worker runners. The
-/// trace is recorded here exactly once per (program, options) — both the
+/// The shared half of build/rebuild: checkpoint the good machine (at most
+/// opts.max_cycles cycles) and wrap the grading kernel in per-worker
+/// runners. The trace is the program's only good-machine run — both the
 /// coordinator and every subprocess worker derive their state through
 /// this one function, so the two sides can only agree or fingerprint-fail.
+/// With a `margin` (the coordinator), the HALT cycle read off the trace
+/// becomes the test's good_cycles and HALT + margin the spec's budget;
+/// without one (a worker), opts.max_cycles is kept exactly as sent.
 SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
                                          const FaultUniverse& universe,
                                          std::shared_ptr<const PackedTopology> topo,
-                                         SeqFsimOptions opts, int good_cycles,
+                                         SeqFsimOptions opts,
+                                         std::optional<int> margin,
                                          FaultModel fault_model) {
   // Resolve the width before it lands in the spec, so a worker rebuilds
   // at exactly the width the coordinator graded with.
@@ -400,6 +406,18 @@ SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
   auto trace = std::make_shared<const ReferenceTrace>(
       tracer.record_reference_trace(trace_env));
   trace_span.end();
+
+  // The environment stops one cycle after HALT, so a last recorded cycle
+  // with the halted pin set is the HALT cycle; a program still running at
+  // the budget counts as the cap. The trace (HALT + 1 cycles) never
+  // reaches the HALT + margin budget, so it is the trace a worker records.
+  int good_cycles = 0;
+  if (margin) {
+    good_cycles = trace->net_bit(trace->cycles - 1, soc.cpu.halted)
+                      ? std::min(trace->cycles - 1, kSbstFunctionalCycleCap)
+                      : kSbstFunctionalCycleCap;
+    opts.max_cycles = good_cycles + *margin;
+  }
 
   SbstCampaignTest out;
   out.trace = trace;
@@ -434,18 +452,15 @@ SbstCampaignTest build_sbst_campaign_test(
     const Soc& soc, SbstProgram& program, const FaultUniverse& universe,
     std::shared_ptr<const PackedTopology> topo, int margin, bool event_driven,
     FaultModel fault_model, int lanes, bool incremental_clocking) {
-  SocSimulator runner(soc);
-  runner.load_program(program.program);
-  const int cycles = runner.run(kSbstFunctionalCycleCap);
-  // `margin` cycles past the good machine's HALT let slow faulty lanes
-  // diverge on the halted pin; the budget travels in the spec as a plain
-  // max_cycles so a worker needs no functional pre-run of its own.
-  const SeqFsimOptions opts{.max_cycles = cycles + margin,
+  if (margin < 1)
+    throw std::invalid_argument(
+        "build_sbst_campaign_test: margin must be at least 1");
+  const SeqFsimOptions opts{.max_cycles = kSbstFunctionalCycleCap + margin,
                             .event_driven = event_driven,
                             .incremental_clocking = incremental_clocking,
                             .lanes = lanes};
   return make_sbst_campaign_test(soc, program, universe, std::move(topo), opts,
-                                 cycles, fault_model);
+                                 margin, fault_model);
 }
 
 SbstCampaignTest rebuild_sbst_campaign_test(
@@ -465,7 +480,8 @@ SbstCampaignTest rebuild_sbst_campaign_test(
                                 "' (SoC configuration mismatch?)");
   const SeqFsimOptions opts = seq_fsim_options_from_json(spec.at("fsim"));
   SbstCampaignTest rebuilt = make_sbst_campaign_test(
-      soc, *program, universe, std::move(topo), opts, 0, fault_model);
+      soc, *program, universe, std::move(topo), opts, std::nullopt,
+      fault_model);
   if (spec.contains("state_fp") &&
       word_from_hex(spec.at("state_fp").as_string()) !=
           rebuilt.trace->fingerprint())

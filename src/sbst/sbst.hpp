@@ -32,9 +32,9 @@ struct SbstProgram {
 /// Builds the full suite, each program based at the SoC reset vector.
 std::vector<SbstProgram> build_sbst_suite(const SocConfig& cfg);
 
-/// Cycle budget for one program's good-machine functional run, shared by
-/// run_suite_functional's default and the campaign-test builders so the
-/// two paths cannot drift.
+/// Cycle budget for one program's good machine: run_suite_functional's
+/// default, and the HALT cycle build_sbst_campaign_test reports for a
+/// program that does not halt within it.
 inline constexpr int kSbstFunctionalCycleCap = 5000;
 
 /// Functionally runs every program (good machine), returning per-program
@@ -57,13 +57,16 @@ struct SbstCampaignResult {
   CampaignResult campaign;
 };
 
-/// Converts the suite into orchestrator tests: runs each program on the
-/// good machine (cycle counts + the campaign's good-trace checkpoints) and
-/// wraps the system-bus fault-simulation kernel in per-worker runners; all
-/// runners share one PackedTopology of the SoC netlist. `soc` and
-/// `universe` are captured by reference and must outlive every campaign
-/// run over the returned tests. `margin` cycles past the good machine's
-/// HALT let slow faulty lanes diverge on the halted pin. `event_driven`
+/// Converts the suite into orchestrator tests: records each program's
+/// good machine once (the campaign's good-trace checkpoint, whose HALT
+/// cycle is the test's cycle count) and wraps the system-bus
+/// fault-simulation kernel in per-worker runners; all runners share one
+/// PackedTopology of the SoC netlist. `soc` and `universe` are captured by
+/// reference and must outlive every campaign run over the returned tests.
+/// `margin` (at least 1) sets the spec's cycle budget, HALT + margin: the
+/// environment stops one cycle after lane 0's HALT and batches are bounded
+/// by the trace, so the margin only has to put the budget past the HALT
+/// cycle (its value travels in the spec and the options hash). `event_driven`
 /// selects the kernel (false = full-sweep oracle; results are
 /// bit-identical either way — the switch exists for cross-checks and
 /// benches). `fault_model` selects the grading kernel: kStuckAt wraps
@@ -95,10 +98,12 @@ struct SbstCampaignTest {
   std::shared_ptr<const ReferenceTrace> trace;
 };
 
-/// Builds one program's campaign test: runs the program functionally for
-/// its cycle count, records the reference trace, and wraps the grading
-/// kernel in per-worker runners (build_sbst_campaign_tests is a loop over
-/// this). The returned test carries a wire spec
+/// Builds one program's campaign test: records the reference trace (the
+/// program's only good-machine run, bounded by kSbstFunctionalCycleCap +
+/// margin), reads the HALT cycle off it, and wraps the grading kernel in
+/// per-worker runners (build_sbst_campaign_tests is a loop over this).
+/// Throws std::invalid_argument if `margin` is below 1. The returned test
+/// carries a wire spec
 /// ({"workload":"sbst","program":NAME,"fsim":{...},"state_fp":HEX}) so a
 /// subprocess worker can rebuild the same state from its own SoC —
 /// see rebuild_sbst_campaign_test. `topo` must be a PackedTopology over

@@ -112,7 +112,10 @@ LaneMask ScanTestRunner::run_kernel(std::span<const FaultId> faults,
     sim.eval();
     for (CellId oc : nl_->output_cells()) observe(oc);
     sim.latch();
-    // Shift-out: compare the unloaded state stream on every scan-out port.
+    // Shift-out: the pattern's inputs held only for capture, so the quiet
+    // inputs and pin constraints return before the unloaded state stream
+    // is compared on every scan-out port.
+    drive_quiet_inputs();
     sim.set_input_all(chains_->se_net, scan_value);
     for (std::size_t t = 0; t < len; ++t) cycle(true);
   }

@@ -16,10 +16,6 @@ enum class Logic : std::uint8_t { V0 = 0, V1 = 1, VX = 2, VZ = 3 };
 
 inline bool is_known(Logic v) { return v == Logic::V0 || v == Logic::V1; }
 inline Logic from_bool(bool b) { return b ? Logic::V1 : Logic::V0; }
-inline char logic_char(Logic v) {
-  constexpr char kChars[] = {'0', '1', 'X', 'Z'};
-  return kChars[static_cast<int>(v)];
-}
 
 Logic logic_not(Logic a);
 Logic logic_and(Logic a, Logic b);

@@ -215,5 +215,62 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
   EXPECT_LE(r1.total_detected, rsa.total_detected);
 }
 
+// The campaign builder reads each program's HALT cycle off the reference
+// trace instead of a functional pre-run; the 4-valued SocSimulator stays
+// as the oracle for that count.
+TEST(SbstCampaign, HaltCycleFromTheTraceMatchesTheFunctionalRunner) {
+  std::vector<SocConfig> configs(4);
+  configs[1].cpu.with_multiplier = false;
+  configs[2].with_scan = configs[2].with_debug = false;
+  configs[3].cpu.btb_entries = 1;
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    auto soc = build_soc(configs[k]);
+    auto suite = build_sbst_suite(configs[k]);
+    const FaultUniverse u(soc->netlist);
+    const auto topo = PackedTopology::build(soc->netlist);
+    const std::vector<int> oracle = run_suite_functional(*soc, suite);
+    for (int margin : {1, 8}) {
+      for (std::size_t i = 0; i < suite.size(); ++i) {
+        SCOPED_TRACE("config " + std::to_string(k) + ", " + suite[i].name +
+                     ", margin " + std::to_string(margin));
+        const SbstCampaignTest t =
+            build_sbst_campaign_test(*soc, suite[i], u, topo, margin);
+        EXPECT_EQ(t.test.good_cycles, oracle[i]);
+        EXPECT_EQ(t.test.spec.at("fsim").at("max_cycles").as_int(),
+                  oracle[i] + margin);
+        EXPECT_EQ(t.trace->cycles, oracle[i] + 1);
+        // A worker records under the spec's budget as sent and must reach
+        // the same state.
+        const SbstCampaignTest w = rebuild_sbst_campaign_test(
+            *soc, suite, u, topo, t.test.spec, FaultModel::kStuckAt);
+        EXPECT_EQ(w.trace->fingerprint(), t.trace->fingerprint());
+        EXPECT_EQ(w.test.spec.dump(), t.test.spec.dump());
+      }
+    }
+    EXPECT_THROW(build_sbst_campaign_test(*soc, suite[0], u, topo, 0),
+                 std::invalid_argument);
+  }
+}
+
+TEST(SbstCampaign, ProgramThatNeverHaltsCountsAsTheCap) {
+  SocConfig cfg = lean_config();
+  auto soc = build_soc(cfg);
+  const FaultUniverse u(soc->netlist);
+  SbstProgram spin{"spin", Program(cfg.cpu.reset_vector)};
+  spin.program.label("spin");
+  spin.program.beq(0, 0, "spin");
+  std::vector<SbstProgram> suite = {spin};
+  ASSERT_EQ(run_suite_functional(*soc, suite),
+            std::vector<int>{kSbstFunctionalCycleCap});
+  const auto topo = PackedTopology::build(soc->netlist);
+  const SbstCampaignTest t = build_sbst_campaign_test(*soc, suite[0], u, topo, 1);
+  EXPECT_EQ(t.test.good_cycles, kSbstFunctionalCycleCap);
+  EXPECT_EQ(t.test.spec.at("fsim").at("max_cycles").as_int(),
+            kSbstFunctionalCycleCap + 1);
+  EXPECT_EQ(t.trace->cycles, kSbstFunctionalCycleCap + 1);
+  EXPECT_NO_THROW(rebuild_sbst_campaign_test(*soc, suite, u, topo, t.test.spec,
+                                             FaultModel::kStuckAt));
+}
+
 }  // namespace
 }  // namespace olfui

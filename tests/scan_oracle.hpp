@@ -99,6 +99,7 @@ struct ScanOracle {
     }
     sim.clock();
 
+    drive_quiet_inputs(sim);
     sim.set_input_all(chains.se_net, scan_value);
     for (std::size_t t = 0; t < len; ++t) {
       sim.eval();

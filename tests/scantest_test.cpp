@@ -381,8 +381,7 @@ std::vector<FaultId> scan_fault_sample(const Netlist& nl,
 }
 
 /// Random PI and chain values; `held` (the reset input) keeps its value,
-/// so reset flops neither clear at capture nor break the chains when the
-/// pattern's inputs stay applied through shift-out.
+/// so reset flops do not clear at capture.
 ScanPattern random_scan_pattern(const Netlist& nl, const ScanChains& chains,
                                 Rng& rng, NetId held) {
   ScanPattern p;
@@ -478,6 +477,40 @@ TEST(ScanKernel, MatchesTwoSettleOracleOnFullSocSample) {
     offset += 1237;
   }
   EXPECT_GT(detected, 0u);
+}
+
+// A pattern's primary inputs hold for capture only. One that drives the
+// reset input low captures into the plain flop at element 0; unless the
+// reset constraint is back for shift-out, the reset flops behind it clear
+// the captured value on its way to scan-out and its mux A-pin faults escape.
+TEST(ScanKernel, PatternInputsHoldForCaptureOnly) {
+  Netlist nl("reset_pattern");
+  const NetId rstn = nl.add_input("rstn");
+  const NetId d = nl.add_input("d");
+  NetId q = nl.add_net("q0");
+  nl.add_cell(CellType::kDff, "u_ff0", q, {d});
+  for (int f = 1; f < 3; ++f) {
+    const NetId next = nl.add_net("q" + std::to_string(f));
+    nl.add_cell(CellType::kDffR, "u_ff" + std::to_string(f), next, {q, rstn});
+    q = next;
+  }
+  nl.add_output("out", q);
+  const ScanChains chains = insert_scan(nl, {});
+  const ScanElement& e0 = chains.chains.at(0).elements.at(0);
+  ASSERT_EQ(nl.cell(e0.flop).type, CellType::kDff);
+  const FaultUniverse u(nl);
+  ScanTestRunner runner(nl, chains);
+  runner.set_pin_constraint(rstn, true);
+  const ScanOracle oracle{nl, chains, {{rstn, true}}};
+  for (bool value : {false, true}) {
+    ScanPattern p;
+    p.pi = {{rstn, false}, {d, value}};
+    p.chain_state = {std::vector<bool>(3, !value)};
+    // The A pin stuck at the complement of what element 0 captures.
+    const std::vector<FaultId> faults = {u.id_of({e0.mux, 1}, !value)};
+    EXPECT_EQ(runner.grade(faults, u, &p), LaneMask(1)) << value;
+    EXPECT_EQ(oracle.grade(faults, u, &p), LaneMask(1)) << value;
+  }
 }
 
 TEST(ScanKernel, CampaignBuildersGradeAtTheWidestLaneWidth) {
